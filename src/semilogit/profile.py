@@ -24,6 +24,18 @@ coefficients.
 
 Identifiability: the reference category's beta row and m row are
 structurally zero and never stored.
+
+The O(n^2) pass: a local Newton step of m_k(t_i) needs the kernel sums
+sum_j w_ij p_jk and sum_j w_ij p_jk (1 - p_jk), where p_jk =
+sigmoid(g_j + mu_i) for the fixed offsets g of :func:`_fixed_logit_parts`;
+the least-favourable gradient and the surface solve need the same sums.
+The logistic factors: with c_ij = e^{mu_i} e^{g_j}, 1 - p = 1 / (1 + c)
+and p = c (1 - p), so a block of G rows costs n + G exponentials rather
+than n G, and the curvature sum is a row-wise dot product of (w p) with
+(1 - p).  When max|g| + max|mu| could overflow exp, the block falls back
+to the sigmoid form.  The weights are the Gaussian kernel without its
+normalising constant, which cancels in every ratio formed here, and all
+temporaries are blocks of ``_BLOCK_DOUBLES`` doubles.
 """
 
 from __future__ import annotations
@@ -53,9 +65,26 @@ from .parametric import fit_parametric
 # likelihoods (separation under tiny effective weight) otherwise diverge.
 STEP_CAP = 5.0
 
-_BLOCK_DOUBLES = 4_000_000  # ~32 MB per temporary block
-_CACHE_LIMIT = 6000         # cache the full weight matrix up to this n
+# Doubles per temporary block of the O(n^2) passes (512 kB): a weight
+# block and the two logistic buffers then stay in one core's L2 cache.
+# perfbench medians of fit_s on k2-cached (n=5000) and k2-uncached
+# (n=6100), two runs each, 2-vCPU Xeon with 2 MB L2 per core, one BLAS
+# thread:
+#        32 768   1.90-1.94 s   4.40-4.45 s
+#        65 536   1.87-1.89 s   3.96-4.24 s
+#       262 144   2.49-2.54 s   5.18-6.13 s
+#     1 000 000   2.56-2.61 s   5.03-5.78 s
+# The same order holds for surface points per second and for k3-curve
+# and cli-pipeline; peak RSS grows with the block (296 -> 325 MB on
+# k2-cached).
+_BLOCK_DOUBLES = 65_536
+# The full weight matrix is cached up to this n (288 MB at n=6000).  This
+# is a memory budget, not a speed choice: caching always pays (on the
+# same machine the uncached n=6100 fit takes 4.0-4.2 s, the cached
+# n=5000 fit 1.9 s), and k2-cached peaks at 296 MB with its 200 MB matrix.
+_CACHE_LIMIT = 6000
 _BURNIN_SWEEPS = 200        # cap on initial least-favourable-curve solves
+_EXP_SAFE = 600.0           # e^g e^mu is finite while |g| + |mu| stays below
 
 
 @dataclass
@@ -109,28 +138,115 @@ class SemiparametricFitResult:
     options: dict = field(default_factory=dict)
 
 
+def _block_rows(n: int) -> int:
+    """Rows of an (., n) block that fit in ``_BLOCK_DOUBLES``."""
+    return max(1, _BLOCK_DOUBLES // max(n, 1))
+
+
+def _blocks(total: int, rows: int):
+    """(start, stop) of consecutive row blocks covering ``range(total)``."""
+    for start in range(0, total, rows):
+        yield start, min(start + rows, total)
+
+
+def _cross_weights(kernel: KernelConfig, Tq: np.ndarray, T: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Gaussian weights exp(-|z|^2 / 2), z = (tq - t) / h, shape (G, n).
+
+    The kernel's normalising constant is left out: every ratio the fitter
+    and the surface solve form is unchanged by it, and for tiny bandwidths
+    or many smooth covariates it overflows.  Written block by block into
+    ``out`` when given.
+    """
+    if out is None:
+        out = np.empty((Tq.shape[0], T.shape[0]))
+    for start, stop in _blocks(Tq.shape[0], _block_rows(T.shape[0])):
+        block = out[start:stop]
+        for d, h in enumerate(kernel.bandwidths):
+            z = block if d == 0 else np.empty_like(block)
+            np.subtract.outer(Tq[start:stop, d], T[:, d], out=z)
+            z /= h
+            z *= z
+            if d:
+                block += z
+        block *= -0.5
+        np.exp(block, out=block)
+    return out
+
+
 class _WeightCache:
-    """Kernel weights between observation points, cached when affordable."""
+    """Kernel weights between observation points, cached when affordable.
+
+    Uncached rows are recomputed into one reused block, which the next
+    ``rows`` call overwrites.
+    """
 
     def __init__(self, kernel: KernelConfig, T: np.ndarray):
         self.kernel = kernel
         self.T = T
         n = T.shape[0]
-        self.block_rows = max(1, _BLOCK_DOUBLES // max(n, 1))
-        self._full = None
+        self.block_rows = _block_rows(n)
         if n <= _CACHE_LIMIT:
-            self._full = np.vstack([self._compute(i, min(i + self.block_rows, n))
-                                    for i in range(0, n, self.block_rows)])
+            self._full = _cross_weights(kernel, T, T)
+        else:
+            self._full = None
+            self._block = np.empty((self.block_rows, n))
 
-    def _compute(self, start, stop):
-        z = (self.T[start:stop, None, :] - self.T[None, :, :]) / self.kernel.bandwidths
-        norm = float(np.prod(1.0 / (np.sqrt(2.0 * np.pi) * self.kernel.bandwidths)))
-        return norm * np.exp(-0.5 * np.sum(z * z, axis=2))
+    def blocks(self):
+        return _blocks(self.T.shape[0], self.block_rows)
 
     def rows(self, start, stop):
         if self._full is not None:
             return self._full[start:stop]
-        return self._compute(start, stop)
+        return _cross_weights(self.kernel, self.T[start:stop], self.T,
+                              out=self._block[:stop - start])
+
+
+class _Logistic:
+    """p_ij = sigmoid(g_j + mu_i) for blocks of rows i, with g fixed.
+
+    e^g is formed once; each block then costs one exponential per row
+    (see the module docstring), unless |g| + |mu| could overflow exp.
+    Results live in two reused block buffers, overwritten by the next call.
+    """
+
+    def __init__(self, g: np.ndarray):
+        self.g = g
+        self.headroom = _EXP_SAFE - float(np.abs(g).max())
+        self.eg = np.exp(g) if self.headroom > 0.0 else None
+        self.ones = np.ones(g.shape[0])   # row sums as BLAS products
+        self._buf = np.empty((2, 0, g.shape[0]))
+
+    def weighted(self, W: np.ndarray, mu: np.ndarray) -> tuple:
+        """(W * P, Q) with Q = 1 - P, for the rows mu of the block W."""
+        if self._buf.shape[1] < mu.shape[0]:
+            self._buf = np.empty((2, mu.shape[0], self.g.shape[0]))
+        WP, Q = self._buf[0, :mu.shape[0]], self._buf[1, :mu.shape[0]]
+        if self.eg is not None and float(np.abs(mu).max()) < self.headroom:
+            np.multiply.outer(np.exp(mu), self.eg, out=WP)
+            np.add(WP, 1.0, out=Q)
+            np.reciprocal(Q, out=Q)
+            WP *= Q
+        else:
+            WP[...] = sigmoid(self.g[None, :] + mu[:, None])
+            np.subtract(1.0, WP, out=Q)
+        WP *= W
+        return WP, Q
+
+
+def _row_dots(A, B):
+    """sum_j A_ij B_ij per row, as stacked BLAS dot products."""
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def _local_steps(W, yk, logit, mu, where):
+    """Raw local Newton steps -score/curvature of m for the rows of W."""
+    WP, Q = logit.weighted(W, mu)
+    score = W @ yk - WP @ logit.ones
+    curv = -_row_dots(WP, Q)
+    if np.any(curv >= 0.0):
+        raise NumericalFailureError(f"nonnegative local curvature {where}")
+    return -score / curv
 
 
 def _row_for(state: SmoothState, k: int) -> int:
@@ -209,18 +325,15 @@ def m_gradient(data: Dataset, k: int, t, m_value: float,
 
 def _m_gradients_all(data, state, row, wcache):
     """dm_k/dbeta_k at every observation point, shape (n, p)."""
-    g = _fixed_logit_parts(data, state, row)
+    logit = _Logistic(_fixed_logit_parts(data, state, row))
     mu = state.m[row]
-    n = data.n
-    num = np.empty((n, data.p))
-    den = np.empty(n)
-    for start in range(0, n, wcache.block_rows):
-        stop = min(start + wcache.block_rows, n)
-        W = wcache.rows(start, stop)
-        P = sigmoid(g[None, :] + mu[start:stop, None])
-        WL = W * (P * (1.0 - P))     # = -W * l''
-        num[start:stop] = WL @ data.x
-        den[start:stop] = WL.sum(axis=1)
+    x1 = np.column_stack([data.x, logit.ones])
+    sums = np.empty((data.n, data.p + 1))
+    for start, stop in wcache.blocks():
+        WL, Q = logit.weighted(wcache.rows(start, stop), mu[start:stop])
+        WL *= Q                      # = -W * l''
+        sums[start:stop] = WL @ x1
+    num, den = sums[:, :-1], sums[:, -1]
     if np.any(den == 0.0):
         raise NumericalFailureError("zero curvature sum in least-favourable gradient")
     return -num / den[:, None]       # -(sum w l'' x)/(sum w l'')
@@ -301,23 +414,15 @@ def _m_sweep(data, state, row, k, wcache, inner_tol, inner_max_iter, step_cap):
 
     Returns the new m row and the number of cap-clipped updates.
     """
-    g = _fixed_logit_parts(data, state, row)
+    logit = _Logistic(_fixed_logit_parts(data, state, row))
     yk = (data.y == k).astype(np.float64)
     mu = state.m[row].copy()
-    n = data.n
     cap_hits = 0
     for _ in range(inner_max_iter):
-        delta = np.empty(n)
-        for start in range(0, n, wcache.block_rows):
-            stop = min(start + wcache.block_rows, n)
-            W = wcache.rows(start, stop)
-            P = sigmoid(g[None, :] + mu[start:stop, None])
-            score = W @ yk - (W * P).sum(axis=1)
-            curv = -(W * (P * (1.0 - P))).sum(axis=1)
-            if np.any(curv >= 0.0):
-                raise NumericalFailureError(
-                    "nonnegative local curvature during m sweep")
-            delta[start:stop] = -score / curv
+        delta = np.empty(data.n)
+        for start, stop in wcache.blocks():
+            delta[start:stop] = _local_steps(wcache.rows(start, stop), yk, logit,
+                                             mu[start:stop], "during m sweep")
         clipped = np.clip(delta, -step_cap, step_cap)
         cap_hits += int(np.count_nonzero(np.abs(delta) > step_cap))
         mu = mu + clipped
@@ -558,37 +663,37 @@ def profile_scores(data: Dataset, state: SmoothState,
     return out
 
 
-def _solve_m_at_points(data, state, row, k, kernel, Tq,
+def _solve_m_at_points(data, state, kernel, Tq,
                        inner_tol=1e-10, max_steps=200, step_cap=STEP_CAP):
-    """Solve the local first-order condition at arbitrary points, (G,)."""
+    """Solve the local first-order conditions at arbitrary points, (K-1, G).
+
+    Each block of query points gets its kernel weights once, and every
+    category's smooth is solved on them.
+    """
     Tq = np.atleast_2d(np.asarray(Tq, dtype=np.float64))
     if Tq.shape[1] != data.q:
         raise ShapeError(f"query points must have dimension {data.q}")
-    g = _fixed_logit_parts(data, state, row)
-    yk = (data.y == k).astype(np.float64)
-    G = Tq.shape[0]
-    mu = np.empty(G)
-    block = max(1, _BLOCK_DOUBLES // max(data.n, 1))
-    for start in range(0, G, block):
-        stop = min(start + block, G)
-        W = np.vstack([kernel_weights(kernel, tq, data.t) for tq in Tq[start:stop]])
-        sums = W.sum(axis=1)
-        if np.any(sums == 0.0):
+    cats = state.categories()
+    logits = [_Logistic(_fixed_logit_parts(data, state, row))
+              for row in range(len(cats))]
+    ys = [(data.y == k).astype(np.float64) for k in cats]
+    mu = np.empty((len(cats), Tq.shape[0]))
+    for start, stop in _blocks(Tq.shape[0], _block_rows(data.n)):
+        W = _cross_weights(kernel, Tq[start:stop], data.t)
+        if np.any(W.sum(axis=1) == 0.0):
             raise NoLocalDataError("all kernel weights vanished at a query point")
         # seed from the most-weighted (nearest) observation point
-        mub = state.m[row][np.argmax(W, axis=1)].astype(np.float64)
-        for _ in range(max_steps):
-            P = sigmoid(g[None, :] + mub[:, None])
-            score = W @ yk - (W * P).sum(axis=1)
-            curv = -(W * (P * (1.0 - P))).sum(axis=1)
-            if np.any(curv >= 0.0):
-                raise NumericalFailureError(
-                    "nonnegative local curvature at a query point")
-            delta = np.clip(-score / curv, -step_cap, step_cap)
-            mub = mub + delta
-            if np.abs(delta).max() < inner_tol:
-                break
-        mu[start:stop] = mub
+        nearest = np.argmax(W, axis=1)
+        for row in range(len(cats)):
+            mub = state.m[row][nearest]
+            for _ in range(max_steps):
+                delta = np.clip(_local_steps(W, ys[row], logits[row], mub,
+                                             "at a query point"),
+                                -step_cap, step_cap)
+                mub = mub + delta
+                if np.abs(delta).max() < inner_tol:
+                    break
+            mu[row, start:stop] = mub
     return mu
 
 
@@ -617,10 +722,9 @@ def predict_surface(fit: SemiparametricFitResult, data: Dataset,
     K = data.n_categories
     inner_tol = fit.options.get("inner_tol", 1e-10)
     eta = np.zeros((T_new.shape[0], K))
+    m_new = _solve_m_at_points(data, state, fit.kernel, T_new, inner_tol=inner_tol)
     for row, k in enumerate(fit.categories):
-        m_new = _solve_m_at_points(data, state, row, int(k), fit.kernel,
-                                   T_new, inner_tol=inner_tol)
-        eta[:, int(k) - 1] = x_fixed @ fit.beta[row] + m_new
+        eta[:, int(k) - 1] = x_fixed @ fit.beta[row] + m_new[row]
     shifted = eta - eta.max(axis=1, keepdims=True)
     w = np.exp(shifted)
     return w / w.sum(axis=1, keepdims=True)

@@ -13,7 +13,16 @@ from semilogit import (
     fitted_probabilities,
     oracle_mle,
     simulate,
+    small_hsiao,
     standard_errors,
+)
+from semilogit import iia
+from semilogit.core import dataset_log_likelihood
+from semilogit.parametric import (
+    _eta_from_theta,
+    _loglik_gain,
+    _probabilities,
+    design_matrix,
 )
 from conftest import make_dgp
 
@@ -99,6 +108,45 @@ class TestFitProperties:
         data = simulate(make_dgp(K=3, n=300, seed=2))
         fit = fit_parametric(data, max_iter=1, tol=1e-12)
         assert not fit.converged
+
+    def test_step_gain_matches_loglik_difference(self):
+        data = simulate(make_dgp(K=3, n=300, seed=6))
+        fit = fit_parametric(data)
+        Z = design_matrix(data)
+        eta = _eta_from_theta(Z, fit.coefficients, fit.categories, 3)
+        step = 0.3 * np.ones_like(fit.coefficients)
+        delta = _eta_from_theta(Z, step, fit.categories, 3)
+        gain = _loglik_gain(_probabilities(eta), delta, data.y)
+        expected = (dataset_log_likelihood(data, eta + delta)
+                    - dataset_log_likelihood(data, eta))
+        assert gain < 0.0
+        assert gain == pytest.approx(expected, rel=1e-10)
+
+    def test_converges_where_loglik_totals_round_away_the_gain(self, monkeypatch):
+        # Small-Hsiao's restricted refit on this draw (n=7475) sits at a
+        # score of 2e-8 > tol with a Newton gain far below the rounding of
+        # the log-likelihood total; judged on totals, every step was halved
+        # away and the fit ran to max_iter unconverged.
+        spec = DGPSpec.from_dict({
+            "n_categories": 4, "n": 20000, "seed": 1596810412,
+            "beta": [[0.8, -0.5], [-0.6, 0.4], [0.3, 0.9]],
+            "smooth": [{"kind": "linear", "intercept": 0.2, "slopes": 0.5},
+                       {"kind": "linear", "intercept": -0.3, "slopes": -0.4},
+                       {"kind": "linear", "intercept": 0.1, "slopes": 0.2}],
+            "x_laws": [{"kind": "normal"}, {"kind": "bernoulli", "p": 0.4}],
+            "t_laws": [{"kind": "uniform", "lo": -2.0, "hi": 2.0}]})
+        fits = []
+
+        def recording_fit(*args, **kwargs):
+            fits.append(fit_parametric(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(iia, "fit_parametric", recording_fit)
+        small_hsiao(simulate(spec), 1, seed=1596810411)
+        restricted = fits[-1]
+        assert restricted.n_obs == 7475
+        assert restricted.converged and restricted.iterations < 20
+        assert np.all(np.diff(restricted.loglik_trace) >= -1e-12)
 
     def test_vcov_symmetric_psd(self):
         data = simulate(make_dgp(K=3, n=300, seed=4))
