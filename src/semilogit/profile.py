@@ -22,6 +22,16 @@ guard keeps that trace nondecreasing: when a proposed step would lower
 it, the coefficient move is damped and m re-solved at the damped
 coefficients.
 
+Every such solve onto the least favourable curve (the burn-in, the
+scratch solve of the trace and each guard halving) iterates one
+Gauss-Seidel pass of local Newton steps over the categories.  With K >= 3
+the curves are coupled through the other categories' predictors and the
+passes converge only linearly, so the solve Anderson-mixes the stacked
+curve vector from its last few passes (Anderson 1965; Walker & Ni 2011),
+which halves the passes per fit.  With K = 2 there is one uncoupled curve,
+each pass is already a pointwise Newton step converging quadratically,
+and mixing would only add passes, so the passes run plain.
+
 Identifiability: the reference category's beta row and m row are
 structurally zero and never stored.
 
@@ -83,7 +93,18 @@ _BLOCK_DOUBLES = 65_536
 # same machine the uncached n=6100 fit takes 4.0-4.2 s, the cached
 # n=5000 fit 1.9 s), and k2-cached peaks at 296 MB with its 200 MB matrix.
 _CACHE_LIMIT = 6000
-_BURNIN_SWEEPS = 200        # cap on initial least-favourable-curve solves
+_BURNIN_SWEEPS = 200        # cap on passes per least-favourable-curve solve
+# Residual differences kept by the Anderson-mixed curve solve.  _m_sweep
+# calls per fit at n=800 (sine/linear DGP of perfbench's k3-curve): K=3
+# at kernel scale 0.5 on DGP seeds 1, 3, 5; K=3 at scale 0.2 and K=4 at
+# scale 0.5 on seed 1:
+#     plain passes   276 / 382 / 820   1242   789
+#     depth 1        176 / 278 / 524    810   528
+#     depth 2        146 / 246 / 442    712   480
+#     depth 3        142 / 232 / 432    626   459
+#     depth 5        142 / 238 / 432    620   441
+# Deeper histories stop paying after 3; K=2 fits (13 passes) never mix.
+_ANDERSON_DEPTH = 3
 _EXP_SAFE = 600.0           # e^g e^mu is finite while |g| + |mu| stays below
 
 
@@ -249,10 +270,6 @@ def _local_steps(W, yk, logit, mu, where):
     return -score / curv
 
 
-def _row_for(state: SmoothState, k: int) -> int:
-    return state.row_of(k)
-
-
 def _fixed_logit_parts(data: Dataset, state: SmoothState, row: int) -> np.ndarray:
     """Per-observation g such that p_ik(mu) = sigmoid(g_i + mu).
 
@@ -280,7 +297,7 @@ def local_smoothed_score(data: Dataset, k: int, t, m_value: float,
     observation i carries the candidate ``m_value`` in its category-k slot
     and the state's values (at the observation points) everywhere else.
     """
-    row = _row_for(state, k)
+    row = state.row_of(k)
     w = kernel_weights(kernel, t, data.t)
     if w.sum() == 0.0:
         raise NoLocalDataError("all kernel weights vanished at the query point")
@@ -311,7 +328,7 @@ def m_gradient(data: Dataset, k: int, t, m_value: float,
     The curvature-weighted average ``-(sum w l'' x) / (sum w l'')``; each
     component lies in the convex hull of the negated covariate values.
     """
-    row = _row_for(state, k)
+    row = state.row_of(k)
     w = kernel_weights(kernel, t, data.t)
     g = _fixed_logit_parts(data, state, row)
     p = sigmoid(g + m_value)
@@ -392,7 +409,7 @@ def beta_update(data: Dataset, k: int, state: SmoothState,
     comparing.  Checking the likelihood at frozen m instead would veto
     genuine profile-ascent steps.
     """
-    row = _row_for(state, k)
+    row = state.row_of(k)
     if wcache is None:
         wcache = _WeightCache(kernel, data.t)
     direction = _beta_direction(data, state, row, k, wcache)
@@ -431,15 +448,51 @@ def _m_sweep(data, state, row, k, wcache, inner_tol, inner_max_iter, step_cap):
     return mu, cap_hits
 
 
-def _resolve_all_m(data, state, cats, wcache, tol, step_cap,
-                   max_sweeps=_BURNIN_SWEEPS):
-    """Gauss-Seidel sweeps of all m rows until the curve is stationary.
+def _anderson_mix(xs, gs):
+    """Anderson (type II) extrapolation from iterates x_i and images G(x_i).
 
-    Returns the worst per-sweep fraction of cap-clipped local updates.
+    With residuals f_i = G(x_i) - x_i, the coefficients gamma minimise
+    |f_last - dF gamma| over the residual differences dF, and the next
+    iterate is G(x_last) - dG gamma (Walker & Ni 2011, with no damping).
+    Returns None when the least-squares coefficients are not finite.
     """
+    X, G = np.stack(xs), np.stack(gs)
+    F = G - X
+    dF, dG = np.diff(F, axis=0).T, np.diff(G, axis=0).T
+    gamma = np.linalg.lstsq(dF, F[-1], rcond=None)[0]
+    if not np.all(np.isfinite(gamma)):
+        return None
+    return G[-1] - dG @ gamma
+
+
+def _resolve_all_m(data, state, cats, wcache, tol, step_cap, max_sweeps=None):
+    """Solve all m rows onto the least favourable curve of state.beta.
+
+    The fixed-point map G is one Gauss-Seidel pass of local Newton steps
+    over the categories.  With two or more non-reference categories the
+    curves are coupled and plain passes converge only linearly, so each
+    next iterate is Anderson-mixed from the last ``_ANDERSON_DEPTH + 1``
+    pairs (x, G(x)) of stacked (K-1) n curve vectors; the history is
+    dropped when the residual max-norm grows or the mixing coefficients
+    are not finite.  With one category the pass is already a pointwise
+    Newton step on an uncoupled curve and converges quadratically, so it
+    is iterated plainly.  The solve stops when max|G(x) - x| < tol and
+    leaves G(x), the last plain pass, in ``state.m``.
+
+    Returns ``(worst per-sweep fraction of cap-clipped local updates,
+    converged, last max change)``; ``converged`` is False when
+    ``max_sweeps`` (default ``_BURNIN_SWEEPS``) passes did not reach tol.
+    """
+    if max_sweeps is None:
+        max_sweeps = _BURNIN_SWEEPS
     n_updates = data.n * len(cats)
     worst_cap = 0.0
+    mix = len(cats) > 1
+    xs, gs = [], []
+    delta = np.inf
     for _ in range(max_sweeps):
+        x = state.m.ravel().copy()
+        prev_delta = delta
         delta = 0.0
         hits_total = 0
         for row, k in enumerate(cats):
@@ -450,8 +503,21 @@ def _resolve_all_m(data, state, cats, wcache, tol, step_cap,
             state.m[row] = mu
         worst_cap = max(worst_cap, hits_total / n_updates)
         if delta < tol:
-            break
-    return worst_cap
+            return worst_cap, True, delta
+        if not mix:
+            continue
+        if delta > prev_delta:
+            xs, gs = [], []
+        xs.append(x)
+        gs.append(state.m.ravel().copy())
+        del xs[:-_ANDERSON_DEPTH - 1], gs[:-_ANDERSON_DEPTH - 1]
+        if len(xs) > 1:
+            mixed = _anderson_mix(xs, gs)
+            if mixed is None:
+                del xs[:-1], gs[:-1]
+            else:
+                state.m = mixed.reshape(state.m.shape)
+    return worst_cap, False, delta
 
 
 def starting_state(data: Dataset, reference: int) -> SmoothState:
@@ -487,7 +553,9 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     The smoothed-score equations and the measured profile likelihood
     disagree by a small finite-sample gap (kernel-weighted conditions
     versus a plain-sum likelihood); if the guard caps convergence at
-    that gap, the result carries a warning quoting the residual.
+    that gap, the result carries a warning quoting the residual.  So does
+    a fit in which some least-favourable-curve solve stopped at its pass
+    cap, since the trace entry it fed is then not a profile value.
     """
     K = data.n_categories
     reference = K if reference is None else reference
@@ -501,6 +569,16 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     wcache = _WeightCache(kernel, data.t)
     warnings: list = []
     resolve_tol = min(tol, 1e-9)
+    worst_cap_fraction = 0.0
+    capped = []        # last max change of every re-solve stopped at its cap
+
+    def resolve(st):
+        nonlocal worst_cap_fraction
+        cap, done, change = _resolve_all_m(data, st, cats, wcache,
+                                           resolve_tol, step_cap)
+        worst_cap_fraction = max(worst_cap_fraction, cap)
+        if not done:
+            capped.append(change)
 
     # Solve the local problems at the starting coefficients first, so the
     # recorded trace is a profile-likelihood trace: every entry has m on
@@ -509,8 +587,7 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     # joint likelihood downhill before the profile iteration can begin.
     # The burn-in uses the same curve precision as later trace points;
     # a sloppier start would register the remaining polish as a dip.
-    worst_cap_fraction = _resolve_all_m(data, state, cats, wcache,
-                                        resolve_tol, step_cap)
+    resolve(state)
 
     ll = _joint_loglik(data, state.beta, state.m, reference)
     trace = [ll]
@@ -547,9 +624,7 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
             ll_new = _joint_loglik(data, state.beta, state.m, reference)
         else:
             scratch = state.copy()
-            cap = _resolve_all_m(data, scratch, cats, wcache, resolve_tol,
-                                 step_cap)
-            worst_cap_fraction = max(worst_cap_fraction, cap)
+            resolve(scratch)
             ll_new = _joint_loglik(data, scratch.beta, scratch.m, reference)
 
         # Step-halving guard: if the profile likelihood would fall,
@@ -568,9 +643,7 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
                 lam *= 0.5
                 state.beta = beta_prev + lam * (beta_prop - beta_prev)
                 state.m = m_prev.copy()
-                cap = _resolve_all_m(data, state, cats, wcache, resolve_tol,
-                                     step_cap)
-                worst_cap_fraction = max(worst_cap_fraction, cap)
+                resolve(state)
                 ll_new = _joint_loglik(data, state.beta, state.m, reference)
                 if ll_new >= ll - 1e-9:
                     break
@@ -607,6 +680,10 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
 
     if not converged:
         warnings.append(f"no convergence after {iterations} iterations")
+    if capped:
+        warnings.append(
+            f"least-favourable curve re-solve stopped at {_BURNIN_SWEEPS} "
+            f"sweeps in {len(capped)} solve(s) (max change {max(capped):.1e})")
     if worst_cap_fraction > 0.10:
         warnings.append(
             "ill-conditioned local likelihoods: step cap hit at "

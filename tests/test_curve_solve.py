@@ -1,0 +1,138 @@
+"""The least-favourable-curve solve: Anderson mixing against plain passes."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from semilogit import DGPSpec, SmoothState, bandwidth_from_scale, simulate
+from semilogit import profile
+from semilogit.profile import STEP_CAP, _resolve_all_m, _WeightCache
+from conftest import random_state_dataset
+
+TOL = 1e-9
+
+
+def plain_resolve(data, state, cats, wcache, tol, step_cap, max_sweeps=None):
+    """Reference: unmixed Gauss-Seidel passes, same stop rule and returns."""
+    if max_sweeps is None:
+        max_sweeps = profile._BURNIN_SWEEPS
+    worst_cap = 0.0
+    for _ in range(max_sweeps):
+        delta = 0.0
+        hits_total = 0
+        for row, k in enumerate(cats):
+            mu, hits = profile._m_sweep(data, state, row, int(k), wcache, tol,
+                                        1, step_cap)
+            delta = max(delta, float(np.abs(mu - state.m[row]).max()))
+            hits_total += hits
+            state.m[row] = mu
+        worst_cap = max(worst_cap, hits_total / (data.n * len(cats)))
+        if delta < tol:
+            return worst_cap, True, delta
+    return worst_cap, False, delta
+
+
+def sine_dgp(K, n, seed):
+    smooth = ({"kind": "sine", "amplitude": 1.0, "frequency": 1.0},
+              {"kind": "linear", "slopes": 0.5},
+              {"kind": "linear", "slopes": -0.3})[:K - 1]
+    beta = [[1.0], [-0.5], [0.3]][:K - 1]
+    return simulate(DGPSpec(
+        n_categories=K, n=n, seed=seed, beta=beta, smooth=smooth,
+        x_laws=({"kind": "normal"},),
+        t_laws=({"kind": "uniform", "lo": -2.0, "hi": 2.0},)))
+
+
+def start_problem(K, n, seed, scale=0.5):
+    data = sine_dgp(K, n, seed)
+    kernel = bandwidth_from_scale(data.t, scale)
+    return data, profile.starting_state(data, K), _WeightCache(kernel, data.t)
+
+
+@pytest.fixture
+def sweep_counter(monkeypatch):
+    calls = [0]
+    sweep = profile._m_sweep
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(profile, "_m_sweep", counted)
+    return calls
+
+
+class TestAcceleratedResolve:
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_matches_plain_passes(self, K):
+        data, state, wcache = start_problem(K, 250, seed=2)
+        cats = state.categories()
+        fast, slow = state.copy(), state.copy()
+        _, done, _ = _resolve_all_m(data, fast, cats, wcache, 1e-12, STEP_CAP,
+                                    max_sweeps=2000)
+        _, done_ref, _ = plain_resolve(data, slow, cats, wcache, 1e-12,
+                                       STEP_CAP, max_sweeps=2000)
+        assert done and done_ref
+        np.testing.assert_allclose(fast.m, slow.m, rtol=0, atol=1e-8)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**31 - 1), scale=st.floats(0.6, 2.0))
+    def test_returned_curve_is_a_fixed_point(self, seed, scale):
+        data, beta, m = random_state_dataset(seed)
+        state = SmoothState(beta, m, reference=3)
+        wcache = _WeightCache(bandwidth_from_scale(data.t, scale), data.t)
+        cats = state.categories()
+        _, done, _ = _resolve_all_m(data, state, cats, wcache, TOL, STEP_CAP)
+        assert done
+        before = state.m.copy()
+        plain_resolve(data, state, cats, wcache, TOL, STEP_CAP, max_sweeps=1)
+        assert np.abs(state.m - before).max() < 10 * TOL
+
+    def test_fit_takes_at_most_six_tenths_of_the_plain_passes(
+            self, monkeypatch, sweep_counter):
+        # a draw on which the trace guard damps, so most passes are
+        # re-solves from the previous curve at halved coefficient moves
+        data = sine_dgp(3, 300, seed=4)
+        kernel = bandwidth_from_scale(data.t, 0.5)
+        fit = profile.fit_semiparametric(data, kernel)
+        accelerated = sweep_counter[0]
+        sweep_counter[0] = 0
+        monkeypatch.setattr(profile, "_resolve_all_m", plain_resolve)
+        ref = profile.fit_semiparametric(data, kernel)
+        assert fit.iterations == ref.iterations
+        assert accelerated <= 0.6 * sweep_counter[0]
+
+    def test_one_category_is_the_plain_loop(self, monkeypatch, sweep_counter):
+        data = sine_dgp(2, 400, seed=3)
+        kernel = bandwidth_from_scale(data.t, 0.5)
+        fit = profile.fit_semiparametric(data, kernel)
+        sweeps = sweep_counter[0]
+        sweep_counter[0] = 0
+        monkeypatch.setattr(profile, "_resolve_all_m", plain_resolve)
+        ref = profile.fit_semiparametric(data, kernel)
+        assert sweep_counter[0] == sweeps
+        assert np.array_equal(fit.beta, ref.beta)
+        assert np.array_equal(fit.smooth.m, ref.smooth.m)
+        assert fit.loglik_trace == ref.loglik_trace
+
+
+class TestSweepCap:
+    def test_resolve_reports_the_cap(self):
+        data, state, wcache = start_problem(3, 200, seed=1)
+        _, done, change = _resolve_all_m(data, state, state.categories(),
+                                         wcache, TOL, STEP_CAP, max_sweeps=1)
+        assert not done
+        assert change >= TOL
+
+    def test_fit_warns_once(self, monkeypatch):
+        data = sine_dgp(3, 200, seed=1)
+        kernel = bandwidth_from_scale(data.t, 0.5)
+        monkeypatch.setattr(profile, "_BURNIN_SWEEPS", 1)
+        fit = profile.fit_semiparametric(data, kernel, max_iter=3)
+        hits = [w for w in fit.warnings if "re-solve stopped at 1 sweeps" in w]
+        assert len(hits) == 1
+
+    def test_no_warning_when_every_solve_converges(self):
+        data = sine_dgp(3, 200, seed=1)
+        fit = profile.fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5))
+        assert not any("re-solve stopped" in w for w in fit.warnings)
