@@ -17,6 +17,11 @@ import numpy as np
 
 from .exceptions import InvalidPredictorError, ShapeError
 
+# Local Newton steps of a smooth value are clipped to this magnitude, in
+# the fitter and in the pointwise reference update alike: one-sided local
+# likelihoods (separation under tiny effective weight) otherwise diverge.
+STEP_CAP = 5.0
+
 
 @dataclass(frozen=True)
 class Dataset:

@@ -544,7 +544,7 @@ def run_fit(config: RunConfig) -> int:
         else:
             kernel = bandwidth_from_scale(data.t, config.kernel_scale)
         opts = {k: config.fit_options[k]
-                for k in ("tol", "max_iter", "inner_tol", "inner_max_iter")
+                for k in ("tol", "max_iter", "inner_tol")
                 if k in config.fit_options}
         fit = fit_semiparametric(data, kernel, reference=reference, **opts)
         _write_coefficient_table(out / "coefficients.csv", fit.categories,

@@ -5,15 +5,32 @@ code: the likelihood is assembled with raw exponentials, coefficients are
 found by derivative-free coordinate descent with golden-section line
 searches, and local first-order conditions are solved by bisection.  If
 the fast path and these agree, both are right for different reasons.
+
+The pointwise references of the profile fitter live here too: the local
+score, one local Newton step and the least-favourable gradient at a single
+query point, each summed directly over the observations with the
+normalised kernel weights and the full softmax, where the fitter runs
+blocked passes over all observation points at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, nonreference_categories
-from .exceptions import OracleFailureError, SeparationError
-from .kernels import KernelConfig, kernel_weight
+from .core import (
+    STEP_CAP,
+    Dataset,
+    linear_predictors,
+    nonreference_categories,
+    softmax_probabilities,
+)
+from .exceptions import (
+    NoLocalDataError,
+    NumericalFailureError,
+    OracleFailureError,
+    SeparationError,
+)
+from .kernels import KernelConfig, kernel_weight, kernel_weights
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -158,6 +175,63 @@ def oracle_local_solve(data: Dataset, k: int, t, state, kernel: KernelConfig,
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _slot_probability(data: Dataset, k: int, m_value: float, state) -> np.ndarray:
+    """p_ik at every observation with ``m_value`` in category k's m slot and
+    the state's values (at the observation points) everywhere else."""
+    m = state.m.copy()
+    m[state.row_of(k)] = m_value
+    eta = linear_predictors(state.beta, m, data.x, state.reference)
+    return softmax_probabilities(eta)[:, k - 1]
+
+
+def local_smoothed_score(data: Dataset, k: int, t, m_value: float,
+                         state, kernel: KernelConfig) -> tuple:
+    """Kernel-weighted first-order condition pieces at a query point.
+
+    Returns ``(sum_i w_i l'_ik, sum_i w_i l''_ik)`` where the predictor of
+    observation i carries the candidate ``m_value`` in its category-k slot
+    and the state's values (at the observation points) everywhere else.
+    """
+    w = kernel_weights(kernel, t, data.t)
+    if w.sum() == 0.0:
+        raise NoLocalDataError("all kernel weights vanished at the query point")
+    p = _slot_probability(data, k, m_value, state)
+    yk = (data.y == k).astype(np.float64)
+    score = float(w @ (yk - p))
+    curvature = float(-(w @ (p * (1.0 - p))))
+    return score, curvature
+
+
+def local_m_update(data: Dataset, k: int, t, m_value: float,
+                   state, kernel: KernelConfig,
+                   step_cap: float = STEP_CAP) -> float:
+    """One Newton step of the local likelihood in m_k(t)."""
+    score, curvature = local_smoothed_score(data, k, t, m_value, state, kernel)
+    if curvature >= 0.0:
+        raise NumericalFailureError(
+            f"nonnegative local curvature {curvature} at query point")
+    step = -score / curvature
+    return m_value + float(np.clip(step, -step_cap, step_cap))
+
+
+def m_gradient(data: Dataset, k: int, t, m_value: float,
+               state, kernel: KernelConfig) -> np.ndarray:
+    """Gradient of the least favourable curve at t with respect to beta_k,
+    the other categories' curves held fixed.
+
+    The curvature-weighted average ``-(sum w l'' x) / (sum w l'')``; each
+    component lies in the convex hull of the negated covariate values.
+    """
+    w = kernel_weights(kernel, t, data.t)
+    p = _slot_probability(data, k, m_value, state)
+    lpp = -(p * (1.0 - p))
+    den = w @ lpp
+    if den == 0.0:
+        raise NumericalFailureError("zero curvature sum in least-favourable gradient")
+    num = (w * lpp) @ data.x
+    return -num / den
 
 
 def central_difference(f, x: float, h: float = 1e-6) -> float:

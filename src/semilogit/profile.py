@@ -1,36 +1,37 @@
 """Semiparametric MNL estimation by kernel-smoothed profile likelihood.
 
 The predictor of category k is ``x' beta_k + m_k(t)`` with unknown smooth
-``m_k``.  For fixed coefficients, each ``m_k(t)`` solves a kernel-weighted
-first-order condition (a local likelihood in one scalar); the coefficient
-update is a Newton step on the profile score, which tracks the dependence
-of the smooth part on the coefficients through the gradient of the least
-favourable curve.  The fitter alternates:
+``m_k``.  For fixed coefficients, the values of every m_k at the
+observation points solve (K-1) n coupled kernel-weighted first-order
+conditions, one local likelihood in one scalar per point and category:
+the least favourable curve m(beta).  The profile log-likelihood is the
+joint log-likelihood at (beta, m(beta)).
 
-  step 2   per category, one Newton step on beta using
-           u_i = x_i + dm/dbeta(t_i),
-           score  = sum_i l'_ik u_i,  curvature B = sum_i l''_ik u_i u_i'
-  step 3   per category, one local Newton step of m at every observation
-           point (all points from one frozen snapshot)
+The fit is one profile-Newton loop (Severini & Wong 1992; Severini &
+Staniswalis 1994).  Each iteration differentiates the local conditions
+implicitly, giving J_s = dm_s/dbeta for every category at once; forms the
+exact profile score S = sum_s E_s' (y_s - p_s) and the information
+H = sum_i U_i' (diag p_i - p_i p_i') U_i, where row i of E_s (row s of
+U_i) is d eta_is / d beta = x_i e_s + J_s(t_i); re-solves m at
+beta + lam H^{-1} S from the current curve; and halves lam until the
+profile log-likelihood does not fall.  S is the gradient of the recorded
+trace, so an undamped step below tol is a stationary point of it.
 
-sweeping categories in index order with the freshest values (Gauss-Seidel
-across categories).  The smooth values are solved to stationarity at the
-starting coefficients before the first iteration, and the recorded trace
-is the profile log-likelihood (the joint log-likelihood with m on the
-least favourable curve of the current coefficients).  A step-halving
-guard keeps that trace nondecreasing: when a proposed step would lower
-it, the coefficient move is damped and m re-solved at the damped
-coefficients.
+The implicit-function equations: with category k's slot set to mu_i, the
+other categories' probabilities are p_js = (1 - p_jk) pi_js, where
+pi_js = e^{eta_js} / (1 + sum_{l != k} e^{eta_jl}) does not depend on i.
+So, with M_k = W * P_k * (1 - P_k) and D_k its row sums,
 
-Every such solve onto the least favourable curve (the burn-in, the
-scratch solve of the trace and each guard halving) iterates one
-Gauss-Seidel pass of local Newton steps over the categories.  With K >= 3
-the curves are coupled through the other categories' predictors and the
-passes converge only linearly, so the solve Anderson-mixes the stacked
-curve vector from its last few passes (Anderson 1965; Walker & Ni 2011),
-which halves the passes per fit.  With K = 2 there is one uncoupled curve,
-each pass is already a pointwise Newton step converging quadratically,
-and mixing would only add passes, so the passes run plain.
+  J_k = D_k^{-1} M_k [-x e_k + sum_{s != k} pi_s (x e_s + J_s)],
+
+one blocked pass per category over the same kernel as the curve sweep.
+
+Both solves are Gauss-Seidel passes over the categories.  With K >= 3
+they are coupled and converge only linearly, so the stacked vector is
+Anderson-mixed from its last few passes (Anderson 1965; Walker & Ni
+2011).  With K = 2 there is one uncoupled curve: each curve pass is a
+pointwise Newton step converging quadratically and runs plain, and one
+Jacobian pass is exact.
 
 Identifiability: the reference category's beta row and m row are
 structurally zero and never stored.
@@ -38,10 +39,10 @@ structurally zero and never stored.
 The O(n^2) pass: a local Newton step of m_k(t_i) needs the kernel sums
 sum_j w_ij p_jk and sum_j w_ij p_jk (1 - p_jk), where p_jk =
 sigmoid(g_j + mu_i) for the fixed offsets g of :func:`_fixed_logit_parts`;
-the least-favourable gradient and the surface solve need the same sums.
-The logistic factors: with c_ij = e^{mu_i} e^{g_j}, 1 - p = 1 / (1 + c)
-and p = c (1 - p), so a block of G rows costs n + G exponentials rather
-than n G, and the curvature sum is a row-wise dot product of (w p) with
+the Jacobian and the surface solve need the same sums.  The logistic
+factors: with c_ij = e^{mu_i} e^{g_j}, 1 - p = 1 / (1 + c) and
+p = c (1 - p), so a block of G rows costs n + G exponentials rather than
+n G, and the curvature sum is a row-wise dot product of (w p) with
 (1 - p).  When max|g| + max|mu| could overflow exp, the block falls back
 to the sigmoid form.  The weights are the Gaussian kernel without its
 normalising constant, which cancels in every ratio formed here, and all
@@ -55,11 +56,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    STEP_CAP,
     Dataset,
     dataset_log_likelihood,
     linear_predictors,
     nonreference_categories,
     sigmoid,
+    softmax_probabilities,
 )
 from .exceptions import (
     ConfigError,
@@ -68,12 +71,12 @@ from .exceptions import (
     NumericalFailureError,
     ShapeError,
 )
-from .kernels import KernelConfig, kernel_weights
+# kernel_weights is not called here, but perfbench's tracer wraps it as an
+# attribute of this module (its kernels.kernel_weights.* metrics).
+from .kernels import KernelConfig, kernel_weights  # noqa: F401
+# The pointwise references are re-exported for the package namespace.
+from .oracles import local_m_update, local_smoothed_score, m_gradient  # noqa: F401
 from .parametric import fit_parametric
-
-# Local Newton steps are clipped to this magnitude: one-sided local
-# likelihoods (separation under tiny effective weight) otherwise diverge.
-STEP_CAP = 5.0
 
 # Doubles per temporary block of the O(n^2) passes (512 kB): a weight
 # block and the two logistic buffers then stay in one core's L2 cache.
@@ -93,18 +96,22 @@ _BLOCK_DOUBLES = 65_536
 # same machine the uncached n=6100 fit takes 4.0-4.2 s, the cached
 # n=5000 fit 1.9 s), and k2-cached peaks at 296 MB with its 200 MB matrix.
 _CACHE_LIMIT = 6000
-_BURNIN_SWEEPS = 200        # cap on passes per least-favourable-curve solve
-# Residual differences kept by the Anderson-mixed curve solve.  _m_sweep
-# calls per fit at n=800 (sine/linear DGP of perfbench's k3-curve): K=3
-# at kernel scale 0.5 on DGP seeds 1, 3, 5; K=3 at scale 0.2 and K=4 at
-# scale 0.5 on seed 1:
-#     plain passes   276 / 382 / 820   1242   789
-#     depth 1        176 / 278 / 524    810   528
-#     depth 2        146 / 246 / 442    712   480
-#     depth 3        142 / 232 / 432    626   459
-#     depth 5        142 / 238 / 432    620   441
-# Deeper histories stop paying after 3; K=2 fits (13 passes) never mix.
+_BURNIN_SWEEPS = 200        # cap on passes per curve or Jacobian solve
+# Residual differences kept by the Anderson-mixed curve and Jacobian
+# solves.  _m_sweep + _m_gradients_all calls per fit at n=800
+# (sine/linear DGP of perfbench's k3-curve): K=3 at kernel scale 0.5 on
+# DGP seeds 1, 3, 5; K=3 at scale 0.2 and K=4 at scale 0.5 on seed 1:
+#     plain passes   132+134 / 100+120 / 206+152   148+166   237+309
+#     depth 1         88+92  /  74+84  / 100+108   106+114   135+189
+#     depth 2         64+72  /  64+72  /  70+84     86+98    117+150
+#     depth 3         60+66  /  62+64  /  70+76     80+90    120+135
+#     depth 5         60+62  /  62+64  /  70+74     78+84    111+123
+# Deeper histories stop paying after 3; K=2 fits (13 + 5) never mix.
 _ANDERSON_DEPTH = 3
+# Max-norm change of dm/dbeta at which the Jacobian solve stops.  J is of
+# the order of x, so the score it feeds is exact to about 1e-10 per
+# observation.
+_JACOBIAN_TOL = 1e-10
 _EXP_SAFE = 600.0           # e^g e^mu is finite while |g| + |mu| stays below
 
 
@@ -115,7 +122,7 @@ class SmoothState:
     beta: np.ndarray         # (K-1, p)
     m: np.ndarray            # (K-1, n), values at the observation points
     reference: int
-    m_grad: np.ndarray | None = None   # (K-1, n, p), dm/dbeta_k at t_i
+    m_grad: np.ndarray | None = None   # (K-1, n, (K-1) p), dm_k/dbeta at t_i
 
     def __post_init__(self):
         self.beta = np.atleast_2d(np.asarray(self.beta, dtype=np.float64))
@@ -289,71 +296,26 @@ def _fixed_logit_parts(data: Dataset, state: SmoothState, row: int) -> np.ndarra
     return c - M - np.log(S)
 
 
-def local_smoothed_score(data: Dataset, k: int, t, m_value: float,
-                         state: SmoothState, kernel: KernelConfig) -> tuple:
-    """Kernel-weighted first-order condition pieces at a query point.
+def _m_gradients_all(data, state, row, wcache, rhs=None):
+    """D_k^{-1} M_k rhs at every observation point, in one blocked pass.
 
-    Returns ``(sum_i w_i l'_ik, sum_i w_i l''_ik)`` where the predictor of
-    observation i carries the candidate ``m_value`` in its category-k slot
-    and the state's values (at the observation points) everywhere else.
+    M_k = W * P * (1 - P) holds category k's local curvatures and D_k its
+    row sums.  The default ``rhs = -x`` gives dm_k/dbeta_k with the other
+    categories' curves held fixed, shape (n, p); the profile Jacobian
+    passes the full right-hand side of the implicit-function equations.
     """
-    row = state.row_of(k)
-    w = kernel_weights(kernel, t, data.t)
-    if w.sum() == 0.0:
-        raise NoLocalDataError("all kernel weights vanished at the query point")
-    g = _fixed_logit_parts(data, state, row)
-    p = sigmoid(g + m_value)
-    yk = (data.y == k).astype(np.float64)
-    score = float(w @ (yk - p))
-    curvature = float(-(w @ (p * (1.0 - p))))
-    return score, curvature
-
-
-def local_m_update(data: Dataset, k: int, t, m_value: float,
-                   state: SmoothState, kernel: KernelConfig,
-                   step_cap: float = STEP_CAP) -> float:
-    """One Newton step of the local likelihood in m_k(t)."""
-    score, curvature = local_smoothed_score(data, k, t, m_value, state, kernel)
-    if curvature >= 0.0:
-        raise NumericalFailureError(
-            f"nonnegative local curvature {curvature} at query point")
-    step = -score / curvature
-    return m_value + float(np.clip(step, -step_cap, step_cap))
-
-
-def m_gradient(data: Dataset, k: int, t, m_value: float,
-               state: SmoothState, kernel: KernelConfig) -> np.ndarray:
-    """Gradient of the least favourable curve at t with respect to beta_k.
-
-    The curvature-weighted average ``-(sum w l'' x) / (sum w l'')``; each
-    component lies in the convex hull of the negated covariate values.
-    """
-    row = state.row_of(k)
-    w = kernel_weights(kernel, t, data.t)
-    g = _fixed_logit_parts(data, state, row)
-    p = sigmoid(g + m_value)
-    lpp = -(p * (1.0 - p))
-    den = w @ lpp
-    if den == 0.0:
-        raise NumericalFailureError("zero curvature sum in least-favourable gradient")
-    num = (w * lpp) @ data.x
-    return -num / den
-
-
-def _m_gradients_all(data, state, row, wcache):
-    """dm_k/dbeta_k at every observation point, shape (n, p)."""
     logit = _Logistic(_fixed_logit_parts(data, state, row))
     mu = state.m[row]
-    x1 = np.column_stack([data.x, logit.ones])
-    sums = np.empty((data.n, data.p + 1))
+    rhs1 = np.column_stack([-data.x if rhs is None else rhs, logit.ones])
+    sums = np.empty((data.n, rhs1.shape[1]))
     for start, stop in wcache.blocks():
         WL, Q = logit.weighted(wcache.rows(start, stop), mu[start:stop])
         WL *= Q                      # = -W * l''
-        sums[start:stop] = WL @ x1
+        sums[start:stop] = WL @ rhs1
     num, den = sums[:, :-1], sums[:, -1]
     if np.any(den == 0.0):
         raise NumericalFailureError("zero curvature sum in least-favourable gradient")
-    return -num / den[:, None]       # -(sum w l'' x)/(sum w l'')
+    return num / den[:, None]
 
 
 def _joint_loglik(data, beta, m, reference):
@@ -361,69 +323,96 @@ def _joint_loglik(data, beta, m, reference):
     return dataset_log_likelihood(data, eta)
 
 
-def _beta_direction(data, state, row, k, wcache) -> np.ndarray:
-    """Raw Newton direction -B^{-1} s on the profile score of category k.
+def _x_blocks(data, n_rows):
+    """x e_s for every category row s, shape (K-1, n, (K-1) p)."""
+    p = data.p
+    X = np.zeros((n_rows, data.n, n_rows * p))
+    for s in range(n_rows):
+        X[s, :, s * p:(s + 1) * p] = data.x
+    return X
 
-    ``s = sum_i l'_ik u_i`` and ``B = sum_i l''_ik u_i u_i'`` with
-    ``u_i = x_i + dm/dbeta_k(t_i)``.  Components are clipped at 10 so a
-    badly scaled early step cannot fling the iterate into saturation.
+
+def _profile_jacobian(data, state, wcache, J=None):
+    """J_s = dm_s/dbeta at the observation points, (K-1, n, (K-1) p).
+
+    Solves the implicit-function equations of the module docstring by
+    Gauss-Seidel passes over the categories from the warm start ``J``
+    (zeros when None), Anderson-mixed like the curve solve; with one
+    category there is no coupling and the single pass is exact.  Returns
+    ``(J, converged, last max change)``.
     """
-    mgrad = _m_gradients_all(data, state, row, wcache)
-    u = data.x + mgrad
-    g = _fixed_logit_parts(data, state, row)
-    p = sigmoid(g + state.m[row])
-    yk = (data.y == k).astype(np.float64)
-    lp = yk - p
-    lpp = -(p * (1.0 - p))
-    score = u.T @ lp
-    B = (u * lpp[:, None]).T @ u
+    n_rows = state.m.shape[0]
+    X = _x_blocks(data, n_rows)
+    if data.p == 0:
+        return X, True, 0.0
+    if n_rows == 1:
+        return _m_gradients_all(data, state, 0, wcache)[None], True, 0.0
+    A = data.x @ state.beta.T + state.m.T
+    shares = []        # per row k: (s, pi_s) for s != k
+    for k in range(n_rows):
+        # _fixed_logit_parts is x'beta_k - log(1 + sum_{l != k} e^{eta_l})
+        log_rest = _fixed_logit_parts(data, state, k) - (A[:, k] - state.m[k])
+        shares.append([(s, np.exp(A[:, s] + log_rest))
+                       for s in range(n_rows) if s != k])
+
+    def gs_pass(x):
+        J = x.reshape(X.shape).copy()
+        for k in range(n_rows):
+            rhs = -X[k]
+            for s, pi in shares[k]:
+                rhs = rhs + pi[:, None] * (X[s] + J[s])
+            J[k] = _m_gradients_all(data, state, k, wcache, rhs)
+        return J.ravel()
+
+    x0 = np.zeros(X.size) if J is None else J.ravel()
+    J, done, change = _mixed_passes(gs_pass, x0, _JACOBIAN_TOL, _BURNIN_SWEEPS,
+                                    mix=True)
+    return J.reshape(X.shape), done, change
+
+
+def _score_information(data, state, J):
+    """Profile score S and information H, flattened in beta's layout.
+
+    With E_s = x e_s + J_s = d eta_s / d beta, S = sum_s E_s' (y_s - p_s)
+    is the gradient of the profile log-likelihood, and
+    H = sum_i U_i' (diag p_i - p_i p_i') U_i, U_i stacking the rows i of
+    the E_s, is its information.
+    """
+    cats = state.categories()
+    n_rows, n, P = J.shape
+    E = (J + _x_blocks(data, n_rows)).reshape(n_rows * n, P)
+    eta = linear_predictors(state.beta, state.m, data.x, state.reference)
+    prob = softmax_probabilities(eta)[:, cats - 1].T.reshape(-1, 1)
+    resid = (data.y == cats[:, None]).reshape(-1, 1) - prob
+    PE = prob * E
+    V = PE.reshape(J.shape).sum(axis=0)
+    return E.T @ resid[:, 0], PE.T @ E - V.T @ V
+
+
+def _newton_step(score, info):
+    """Newton direction H^{-1} S.  Components are clipped at 10 so a badly
+    scaled early step cannot fling the iterate into saturation."""
     try:
-        direction = -np.linalg.solve(B, score)
+        direction = np.linalg.solve(info, score)
     except np.linalg.LinAlgError:
         raise NonIdentifiedError(
-            "singular profile curvature for category "
-            f"{k} (cond={np.linalg.cond(B):.3e})") from None
+            "singular profile information "
+            f"(cond={np.linalg.cond(info):.3e})") from None
     return np.clip(direction, -10.0, 10.0)
 
 
-def _resolve_m_row(data, state, row, k, wcache, tol=1e-9, max_sweeps=60,
-                   step_cap=STEP_CAP):
-    """Iterate local Newton steps of m_k to (near) stationarity."""
-    for _ in range(max_sweeps):
-        mu, _ = _m_sweep(data, state, row, k, wcache, tol, 1, step_cap)
-        delta = float(np.abs(mu - state.m[row]).max())
-        state.m[row] = mu
-        if delta < tol:
-            break
-    return state
-
-
 def beta_update(data: Dataset, k: int, state: SmoothState,
-                kernel: KernelConfig, max_halvings: int = 30,
-                wcache: _WeightCache | None = None) -> np.ndarray:
-    """One Newton step on the profile score for category k's coefficients.
+                kernel: KernelConfig) -> np.ndarray:
+    """Category k's coefficients after one undamped profile-Newton step.
 
-    The step is halved while the profile log-likelihood of the trial
-    coefficients decreases; since the smooth part re-adjusts to any
-    coefficient move, each trial re-solves m_k on a scratch copy before
-    comparing.  Checking the likelihood at frozen m instead would veto
-    genuine profile-ascent steps.
+    The step is the joint direction of :func:`fit_semiparametric`'s loop,
+    taken from ``state`` (whose m should lie on the least favourable curve
+    of its coefficients), without the loop's line search.
     """
+    J, _, _ = _profile_jacobian(data, state, _WeightCache(kernel, data.t))
+    step = _newton_step(*_score_information(data, state, J))
     row = state.row_of(k)
-    if wcache is None:
-        wcache = _WeightCache(kernel, data.t)
-    direction = _beta_direction(data, state, row, k, wcache)
-
-    ll = _joint_loglik(data, state.beta, state.m, state.reference)
-    step = 1.0
-    for _ in range(max_halvings + 1):
-        trial = state.copy()
-        trial.beta[row] = state.beta[row] + step * direction
-        _resolve_m_row(data, trial, row, k, wcache)
-        if _joint_loglik(data, trial.beta, trial.m, state.reference) >= ll - 1e-12:
-            return trial.beta[row]
-        step *= 0.5
-    return state.beta[row].copy()
+    return state.beta[row] + step.reshape(state.beta.shape)[row]
 
 
 def _m_sweep(data, state, row, k, wcache, inner_tol, inner_max_iter, step_cap):
@@ -465,19 +454,49 @@ def _anderson_mix(xs, gs):
     return G[-1] - dG @ gamma
 
 
+def _mixed_passes(gs_pass, x, tol, max_passes, mix):
+    """Iterate x <- G(x) = gs_pass(x) until max|G(x) - x| < tol.
+
+    With ``mix`` each next iterate is Anderson-mixed from the last
+    ``_ANDERSON_DEPTH + 1`` pairs (x, G(x)); the history is dropped when
+    the residual max-norm grows or the mixing coefficients are not
+    finite.  Returns ``(G(x) at the stop or the last iterate, converged,
+    last max change)``.
+    """
+    xs, gs = [], []
+    delta = np.inf
+    for _ in range(max_passes):
+        gx = gs_pass(x)
+        prev_delta, delta = delta, float(np.abs(gx - x).max(initial=0.0))
+        if delta < tol:
+            return gx, True, delta
+        if mix:
+            if delta > prev_delta:
+                xs, gs = [], []
+            xs.append(x)
+            gs.append(gx)
+            del xs[:-_ANDERSON_DEPTH - 1], gs[:-_ANDERSON_DEPTH - 1]
+            if len(xs) > 1:
+                mixed = _anderson_mix(xs, gs)
+                if mixed is None:
+                    del xs[:-1], gs[:-1]
+                else:
+                    gx = mixed
+        x = gx
+    return x, False, delta
+
+
 def _resolve_all_m(data, state, cats, wcache, tol, step_cap, max_sweeps=None):
     """Solve all m rows onto the least favourable curve of state.beta.
 
     The fixed-point map G is one Gauss-Seidel pass of local Newton steps
-    over the categories.  With two or more non-reference categories the
-    curves are coupled and plain passes converge only linearly, so each
-    next iterate is Anderson-mixed from the last ``_ANDERSON_DEPTH + 1``
-    pairs (x, G(x)) of stacked (K-1) n curve vectors; the history is
-    dropped when the residual max-norm grows or the mixing coefficients
-    are not finite.  With one category the pass is already a pointwise
-    Newton step on an uncoupled curve and converges quadratically, so it
-    is iterated plainly.  The solve stops when max|G(x) - x| < tol and
-    leaves G(x), the last plain pass, in ``state.m``.
+    over the categories, iterated by :func:`_mixed_passes`.  With two or
+    more non-reference categories the curves are coupled and plain passes
+    converge only linearly, so the passes are Anderson-mixed.  With one
+    category the pass is already a pointwise Newton step on an uncoupled
+    curve and converges quadratically, so it is iterated plainly.  The
+    solve stops when max|G(x) - x| < tol and leaves G(x), the last plain
+    pass, in ``state.m``.
 
     Returns ``(worst per-sweep fraction of cap-clipped local updates,
     converged, last max change)``; ``converged`` is False when
@@ -485,39 +504,24 @@ def _resolve_all_m(data, state, cats, wcache, tol, step_cap, max_sweeps=None):
     """
     if max_sweeps is None:
         max_sweeps = _BURNIN_SWEEPS
-    n_updates = data.n * len(cats)
+    shape = state.m.shape
     worst_cap = 0.0
-    mix = len(cats) > 1
-    xs, gs = [], []
-    delta = np.inf
-    for _ in range(max_sweeps):
-        x = state.m.ravel().copy()
-        prev_delta = delta
-        delta = 0.0
+
+    def gs_pass(x):
+        nonlocal worst_cap
+        state.m = x.reshape(shape).copy()
         hits_total = 0
         for row, k in enumerate(cats):
-            mu, hits = _m_sweep(data, state, row, int(k), wcache, tol, 1,
-                                step_cap)
-            delta = max(delta, float(np.abs(mu - state.m[row]).max()))
+            state.m[row], hits = _m_sweep(data, state, row, int(k), wcache,
+                                          tol, 1, step_cap)
             hits_total += hits
-            state.m[row] = mu
-        worst_cap = max(worst_cap, hits_total / n_updates)
-        if delta < tol:
-            return worst_cap, True, delta
-        if not mix:
-            continue
-        if delta > prev_delta:
-            xs, gs = [], []
-        xs.append(x)
-        gs.append(state.m.ravel().copy())
-        del xs[:-_ANDERSON_DEPTH - 1], gs[:-_ANDERSON_DEPTH - 1]
-        if len(xs) > 1:
-            mixed = _anderson_mix(xs, gs)
-            if mixed is None:
-                del xs[:-1], gs[:-1]
-            else:
-                state.m = mixed.reshape(state.m.shape)
-    return worst_cap, False, delta
+        worst_cap = max(worst_cap, hits_total / state.m.size)
+        return state.m.ravel().copy()
+
+    m, done, delta = _mixed_passes(gs_pass, state.m.ravel().copy(), tol,
+                                   max_sweeps, mix=len(cats) > 1)
+    state.m = m.reshape(shape)
+    return worst_cap, done, delta
 
 
 def starting_state(data: Dataset, reference: int) -> SmoothState:
@@ -538,24 +542,27 @@ def starting_state(data: Dataset, reference: int) -> SmoothState:
 def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
                        reference: int | None = None, tol: float = 1e-6,
                        max_iter: int = 200, inner_tol: float = 1e-10,
-                       inner_max_iter: int = 1, step_cap: float = STEP_CAP,
+                       step_cap: float = STEP_CAP,
                        start: SmoothState | None = None) -> SemiparametricFitResult:
-    """Profile-likelihood Newton-Raphson fit of the semiparametric MNL.
+    """Profile-Newton fit of the semiparametric MNL.
 
-    Alternates coefficient updates and local smooth updates until the
-    max-norm change of (beta, m) falls below ``tol``.  The recorded
-    ``loglik_trace`` is the profile log-likelihood and never decreases:
-    a guard damps the coefficient move (re-solving the smooth part at
-    the damped coefficients) whenever it would.  ``inner_max_iter`` > 1
-    lets each m sweep iterate its local solves to ``inner_tol`` instead
-    of taking a single step.
+    Solves m onto the least favourable curve of the starting coefficients,
+    then repeats one step: the joint Newton direction d = H^{-1} S on the
+    exact profile score, m re-solved at beta + lam d from the current
+    curve, lam halved until the profile log-likelihood falls by no more
+    than 1e-9, and the step accepted.  ``converged`` means that an
+    undamped step moved (beta, m) by less than ``tol`` in max-norm.
+    ``loglik_trace`` records the profile log-likelihood after the first
+    solve and after every step; it never decreases, and its gradient in
+    beta is the score the loop drives to zero.  With ``max_iter=0`` the
+    fit stops after the first solve, so ``loglik`` is the profile
+    log-likelihood at the starting coefficients.  ``inner_tol`` is kept
+    in ``options`` as the tolerance of :func:`predict_surface`'s local
+    solves on this fit.
 
-    The smoothed-score equations and the measured profile likelihood
-    disagree by a small finite-sample gap (kernel-weighted conditions
-    versus a plain-sum likelihood); if the guard caps convergence at
-    that gap, the result carries a warning quoting the residual.  So does
-    a fit in which some least-favourable-curve solve stopped at its pass
-    cap, since the trace entry it fed is then not a profile value.
+    ``beta_se`` comes from the full (K-1) p profile information H.  A fit
+    in which some curve or Jacobian solve stopped at its pass cap carries
+    a warning, since the trace entry or score it fed is then inexact.
     """
     K = data.n_categories
     reference = K if reference is None else reference
@@ -570,7 +577,7 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     warnings: list = []
     resolve_tol = min(tol, 1e-9)
     worst_cap_fraction = 0.0
-    capped = []        # last max change of every re-solve stopped at its cap
+    capped = []        # last max change of every solve stopped at its cap
 
     def resolve(st):
         nonlocal worst_cap_fraction
@@ -579,6 +586,13 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
         worst_cap_fraction = max(worst_cap_fraction, cap)
         if not done:
             capped.append(change)
+        return _joint_loglik(data, st.beta, st.m, reference)
+
+    def jacobian(J):
+        J, done, change = _profile_jacobian(data, state, wcache, J)
+        if not done:
+            capped.append(change)
+        return J
 
     # Solve the local problems at the starting coefficients first, so the
     # recorded trace is a profile-likelihood trace: every entry has m on
@@ -587,97 +601,40 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     # joint likelihood downhill before the profile iteration can begin.
     # The burn-in uses the same curve precision as later trace points;
     # a sloppier start would register the remaining polish as a dip.
-    resolve(state)
-
-    ll = _joint_loglik(data, state.beta, state.m, reference)
+    ll = resolve(state)
     trace = [ll]
     converged = False
     iterations = 0
-    damped_streak = 0
+    J = None
     for iterations in range(1, max_iter + 1):
-        beta_prev = state.beta.copy()
-        m_prev = state.m.copy()
-
-        for row, k in enumerate(cats):
-            state.beta[row] = state.beta[row] + _beta_direction(
-                data, state, row, int(k), wcache)
-        beta_prop = state.beta.copy()
-
-        sweep_delta = 0.0
-        cap_hits = 0
-        for row, k in enumerate(cats):
-            mu, hits = _m_sweep(data, state, row, int(k), wcache,
-                                inner_tol, inner_max_iter, step_cap)
-            sweep_delta = max(sweep_delta, float(np.abs(mu - state.m[row]).max()))
-            state.m[row] = mu
-            cap_hits += hits
-        worst_cap_fraction = max(worst_cap_fraction,
-                                 cap_hits / (data.n * (K - 1)))
-
-        # The trace records the profile log-likelihood: the joint
-        # log-likelihood with m on the least favourable curve of the
-        # current coefficients.  The raw joint value at a lagging m is
-        # not comparable across iterations (relaxing m onto the curve
-        # legitimately lowers it), so when the m sweep has not yet
-        # landed, evaluate on a scratch re-solve.
-        if sweep_delta < 1e-8:
-            ll_new = _joint_loglik(data, state.beta, state.m, reference)
-        else:
-            scratch = state.copy()
-            resolve(scratch)
-            ll_new = _joint_loglik(data, scratch.beta, scratch.m, reference)
-
-        # Step-halving guard: if the profile likelihood would fall,
-        # halve the coefficient move and re-solve the smooth part at the
-        # damped coefficients until the trace is nondecreasing again.
-        # The smoothed-score fixed point does not maximise the measured
-        # profile likelihood exactly (the local conditions are kernel
-        # weighted, the likelihood is a plain sum), so near convergence
-        # the guard may cap the residual of the smoothed-score equations
-        # at the size of that finite-sample gap; the two targets differ
-        # by a statistically negligible amount.
+        J = jacobian(J)
+        step = _newton_step(*_score_information(data, state, J))
+        step = step.reshape(state.beta.shape)
+        beta_prev, m_prev = state.beta, state.m
         lam = 1.0
-        guard_failed = False
-        if ll_new < ll - 1e-9:
-            for _ in range(60):
-                lam *= 0.5
-                state.beta = beta_prev + lam * (beta_prop - beta_prev)
-                state.m = m_prev.copy()
-                resolve(state)
-                ll_new = _joint_loglik(data, state.beta, state.m, reference)
-                if ll_new >= ll - 1e-9:
-                    break
-            else:
-                guard_failed = True
-        if guard_failed:
+        for _ in range(61):
+            state.beta = beta_prev + lam * step
+            state.m = m_prev.copy()
+            ll_new = resolve(state)
+            if ll_new >= ll - 1e-9:
+                break
+            lam *= 0.5
+        else:
             state.beta, state.m = beta_prev, m_prev
             warnings.append(
                 f"trace guard exhausted halvings at iteration {iterations}")
             break
-
         delta = max(float(np.abs(state.beta - beta_prev).max(initial=0.0)),
                     float(np.abs(state.m - m_prev).max()))
         ll = ll_new
         trace.append(ll)
-        if delta < tol:
+        if lam == 1.0 and delta < tol:
             converged = True
-            if lam < 1.0:
-                raw = float(np.abs(beta_prop - beta_prev).max(initial=0.0))
-                warnings.append(
-                    "converged under an active trace guard: the smoothed-score "
-                    f"equations are satisfied to about {raw:.1e} instead of {tol:g}")
             break
-        if lam < 1.0:
-            damped_streak += 1
-            if damped_streak >= 5:
-                warnings.append(
-                    "stopping: the monotone-trace guard keeps damping the "
-                    "smoothed-score Newton steps (residual gap "
-                    f"~{np.abs(beta_prop - beta_prev).max(initial=0.0):.1e})")
-                break
-        else:
-            damped_streak = 0
 
+    J = jacobian(J)
+    _, info = _score_information(data, state, J)
+    state.m_grad = J
     if not converged:
         warnings.append(f"no convergence after {iterations} iterations")
     if capped:
@@ -689,55 +646,37 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
             "ill-conditioned local likelihoods: step cap hit at "
             f"{worst_cap_fraction:.1%} of points in some sweep")
 
-    beta_se, m_grad = _profile_standard_errors(data, state, wcache, cats)
-    state.m_grad = m_grad
     return SemiparametricFitResult(
-        beta=state.beta.copy(), beta_se=beta_se, smooth=state, loglik=ll,
-        loglik_trace=trace, converged=converged, iterations=iterations,
-        kernel=kernel, reference=reference, categories=cats,
-        warnings=warnings,
+        beta=state.beta.copy(), beta_se=_standard_errors(info, state.beta.shape),
+        smooth=state, loglik=ll, loglik_trace=trace, converged=converged,
+        iterations=iterations, kernel=kernel, reference=reference,
+        categories=cats, warnings=warnings,
         options={"tol": tol, "max_iter": max_iter, "inner_tol": inner_tol,
-                 "inner_max_iter": inner_max_iter, "step_cap": step_cap},
+                 "step_cap": step_cap},
     )
 
 
-def _profile_standard_errors(data, state, wcache, cats):
-    """Profile-information SEs: sqrt(diag((-B)^{-1})) per category block."""
-    Km1 = len(cats)
-    se = np.full((Km1, data.p), np.nan)
-    m_grad = np.empty((Km1, data.n, data.p))
-    for row, k in enumerate(cats):
-        mgrad = _m_gradients_all(data, state, row, wcache)
-        m_grad[row] = mgrad
-        u = data.x + mgrad
-        g = _fixed_logit_parts(data, state, row)
-        p = sigmoid(g + state.m[row])
-        lpp = -(p * (1.0 - p))
-        B = (u * lpp[:, None]).T @ u
-        if data.p == 0:
-            continue
-        try:
-            cov = np.linalg.inv(-B)
-            se[row] = np.sqrt(np.clip(np.diagonal(cov), 0.0, None))
-        except np.linalg.LinAlgError:
-            pass
-    return se, m_grad
+def _standard_errors(info, shape):
+    """Profile-information SEs sqrt(diag(H^{-1})) in beta's layout; NaN
+    when H is singular."""
+    try:
+        cov = np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        return np.full(shape, np.nan)
+    return np.sqrt(np.clip(np.diagonal(cov), 0.0, None)).reshape(shape)
 
 
 def profile_scores(data: Dataset, state: SmoothState,
                    kernel: KernelConfig) -> np.ndarray:
-    """Profile score sum_i l'_ik (x_i + dm/dbeta_k(t_i)) per category, (K-1, p)."""
-    wcache = _WeightCache(kernel, data.t)
-    cats = state.categories()
-    out = np.empty((len(cats), data.p))
-    for row, k in enumerate(cats):
-        mgrad = _m_gradients_all(data, state, row, wcache)
-        u = data.x + mgrad
-        g = _fixed_logit_parts(data, state, row)
-        p = sigmoid(g + state.m[row])
-        yk = (data.y == int(k)).astype(np.float64)
-        out[row] = u.T @ (yk - p)
-    return out
+    """Gradient of the profile log-likelihood in beta, (K-1, p).
+
+    sum_s sum_i (y_is - p_is)(x_i e_s + dm_s/dbeta(t_i)), with the full
+    dm/dbeta of every category; m should lie on the least favourable
+    curve of ``state.beta``.
+    """
+    J, _, _ = _profile_jacobian(data, state, _WeightCache(kernel, data.t))
+    score, _ = _score_information(data, state, J)
+    return score.reshape(state.beta.shape)
 
 
 def _solve_m_at_points(data, state, kernel, Tq,

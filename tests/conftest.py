@@ -42,6 +42,18 @@ def random_state_dataset(seed, n=40, p=2, q=1, K=3):
     return data, beta, m
 
 
+def sine_dgp(K, n, seed):
+    """K categories: a sine curve and linear ones, beta near 1 in size."""
+    smooth = ({"kind": "sine", "amplitude": 1.0, "frequency": 1.0},
+              {"kind": "linear", "slopes": 0.5},
+              {"kind": "linear", "slopes": -0.3})[:K - 1]
+    beta = [[1.0], [-0.5], [0.3]][:K - 1]
+    return simulate(DGPSpec(
+        n_categories=K, n=n, seed=seed, beta=beta, smooth=smooth,
+        x_laws=({"kind": "normal"},),
+        t_laws=({"kind": "uniform", "lo": -2.0, "hi": 2.0},)))
+
+
 @pytest.fixture
 def small_binary_data():
     spec = DGPSpec(

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semilogit import DGPSpec, SmoothState, bandwidth_from_scale, simulate
+from semilogit import SmoothState, bandwidth_from_scale
 from semilogit import profile
 from semilogit.profile import STEP_CAP, _resolve_all_m, _WeightCache
-from conftest import random_state_dataset
+from conftest import random_state_dataset, sine_dgp
 
 TOL = 1e-9
 
@@ -30,17 +30,6 @@ def plain_resolve(data, state, cats, wcache, tol, step_cap, max_sweeps=None):
         if delta < tol:
             return worst_cap, True, delta
     return worst_cap, False, delta
-
-
-def sine_dgp(K, n, seed):
-    smooth = ({"kind": "sine", "amplitude": 1.0, "frequency": 1.0},
-              {"kind": "linear", "slopes": 0.5},
-              {"kind": "linear", "slopes": -0.3})[:K - 1]
-    beta = [[1.0], [-0.5], [0.3]][:K - 1]
-    return simulate(DGPSpec(
-        n_categories=K, n=n, seed=seed, beta=beta, smooth=smooth,
-        x_laws=({"kind": "normal"},),
-        t_laws=({"kind": "uniform", "lo": -2.0, "hi": 2.0},)))
 
 
 def start_problem(K, n, seed, scale=0.5):
@@ -90,8 +79,8 @@ class TestAcceleratedResolve:
 
     def test_fit_takes_at_most_six_tenths_of_the_plain_passes(
             self, monkeypatch, sweep_counter):
-        # a draw on which the trace guard damps, so most passes are
-        # re-solves from the previous curve at halved coefficient moves
+        # a K = 3 draw: every step re-solves the coupled curves from the
+        # previous one, so most passes are warm-started mixed solves
         data = sine_dgp(3, 300, seed=4)
         kernel = bandwidth_from_scale(data.t, 0.5)
         fit = profile.fit_semiparametric(data, kernel)
