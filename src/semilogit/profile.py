@@ -37,16 +37,26 @@ Identifiability: the reference category's beta row and m row are
 structurally zero and never stored.
 
 The O(n^2) pass: a local Newton step of m_k(t_i) needs the kernel sums
-sum_j w_ij p_jk and sum_j w_ij p_jk (1 - p_jk), where p_jk =
+sum_j w_ij p_ij and sum_j w_ij p_ij (1 - p_ij), where p_ij =
 sigmoid(g_j + mu_i) for the fixed offsets g of :func:`_fixed_logit_parts`;
 the Jacobian and the surface solve need the same sums.  The logistic
 factors: with c_ij = e^{mu_i} e^{g_j}, 1 - p = 1 / (1 + c) and
-p = c (1 - p), so a block of G rows costs n + G exponentials rather than
-n G, and the curvature sum is a row-wise dot product of (w p) with
-(1 - p).  When max|g| + max|mu| could overflow exp, the block falls back
-to the sigmoid form.  The weights are the Gaussian kernel without its
-normalising constant, which cancels in every ratio formed here, and all
-temporaries are blocks of ``_BLOCK_DOUBLES`` doubles.
+p = c (1 - p), so a block costs only its rows' and columns' exponentials.
+When max|g| + max|mu| could overflow exp, it falls back to the sigmoid
+form.  The weights are the Gaussian kernel without its normalising
+constant, which cancels in every ratio formed here.
+
+Between observation points the kernel is symmetric, w_ij = w_ji, so the
+pass is triangular: row block I = [s, e) holds only W[I, s:], and each
+weight is computed (or cached) once, apart from the diagonal blocks.
+The block is read twice, and the per-point sums are accumulated over all
+blocks before any step is taken.  Direction 1 covers rows I against
+columns s: with c = e^{mu_I} e^{g_j}, summing along rows.  Direction 2
+covers rows e: against columns I.  It uses the same block with
+c' = e^{g_I} e^{mu_j} and sums down its columns, so no transpose is
+formed.  Blocks hold at most ``_BLOCK_DOUBLES`` doubles, and so do the
+temporaries.  Query points against observation points are not symmetric:
+the surface solve runs plain row blocks through the same logistic.
 """
 
 from __future__ import annotations
@@ -89,12 +99,14 @@ from .parametric import fit_parametric
 #     1 000 000   2.56-2.61 s   5.03-5.78 s
 # The same order holds for surface points per second and for k3-curve
 # and cli-pipeline; peak RSS grows with the block (296 -> 325 MB on
-# k2-cached).
+# k2-cached).  These were measured with full-row blocks; the triangular
+# blocks keep the same working set (one block and two logistic buffers).
 _BLOCK_DOUBLES = 65_536
-# The full weight matrix is cached up to this n (288 MB at n=6000).  This
-# is a memory budget, not a speed choice: caching always pays (on the
-# same machine the uncached n=6100 fit takes 4.0-4.2 s, the cached
-# n=5000 fit 1.9 s), and k2-cached peaks at 296 MB with its 200 MB matrix.
+# The packed weight triangle is cached up to this n (about 144 MB at
+# n=6000).  This is a memory budget, not a speed choice: caching always
+# pays.  The threshold stays in n rather than bytes so that perfbench's
+# k2-uncached (n=6100) keeps measuring the uncached pass and its small
+# footprint.
 _CACHE_LIMIT = 6000
 _BURNIN_SWEEPS = 200        # cap on passes per curve or Jacobian solve
 # Residual differences kept by the Anderson-mixed curve and Jacobian
@@ -177,65 +189,93 @@ def _blocks(total: int, rows: int):
         yield start, min(start + rows, total)
 
 
+def _triangle_blocks(n: int):
+    """(start, stop) of row blocks I whose upper part W[I, start:] fits in
+    ``_BLOCK_DOUBLES``; the blocks grow as the rows shorten."""
+    start = 0
+    while start < n:
+        stop = min(n, start + _block_rows(n - start))
+        yield start, stop
+        start = stop
+
+
 def _cross_weights(kernel: KernelConfig, Tq: np.ndarray, T: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Gaussian weights exp(-|z|^2 / 2), z = (tq - t) / h, shape (G, n).
 
     The kernel's normalising constant is left out: every ratio the fitter
     and the surface solve form is unchanged by it, and for tiny bandwidths
-    or many smooth covariates it overflows.  Written block by block into
-    ``out`` when given.
+    or many smooth covariates it overflows.  The coordinates are scaled
+    once by 1 / (h sqrt 2), so each pair costs a difference, a square and
+    an exponential.  Written block by block into ``out`` when given.
     """
     if out is None:
         out = np.empty((Tq.shape[0], T.shape[0]))
+    scale = 1.0 / (np.sqrt(2.0) * kernel.bandwidths)
+    Aq, A = Tq * scale, T * scale
     for start, stop in _blocks(Tq.shape[0], _block_rows(T.shape[0])):
         block = out[start:stop]
-        for d, h in enumerate(kernel.bandwidths):
+        for d in range(A.shape[1]):
             z = block if d == 0 else np.empty_like(block)
-            np.subtract.outer(Tq[start:stop, d], T[:, d], out=z)
-            z /= h
+            np.subtract.outer(Aq[start:stop, d], A[:, d], out=z)
             z *= z
             if d:
                 block += z
-        block *= -0.5
+        np.negative(block, out=block)
         np.exp(block, out=block)
     return out
 
 
 class _WeightCache:
-    """Kernel weights between observation points, cached when affordable.
+    """Kernel weights between observation points, packed by symmetry.
 
-    Uncached rows are recomputed into one reused block, which the next
-    ``rows`` call overwrites.
+    Row block I = [start, stop) of :func:`_triangle_blocks` keeps only
+    W[I, start:], its diagonal block and everything right of it: about
+    n^2 / 2 doubles in all.  Up to ``_CACHE_LIMIT`` points the blocks are
+    computed once into the packed array ``packed``; above it ``packed`` is
+    one reused block buffer, and each block is recomputed into it,
+    overwriting the one before.
     """
 
     def __init__(self, kernel: KernelConfig, T: np.ndarray):
         self.kernel = kernel
         self.T = T
         n = T.shape[0]
-        self.block_rows = _block_rows(n)
-        if n <= _CACHE_LIMIT:
-            self._full = _cross_weights(kernel, T, T)
+        self.layout = list(_triangle_blocks(n))
+        sizes = [(stop - start) * (n - start) for start, stop in self.layout]
+        self.cached = n <= _CACHE_LIMIT
+        if self.cached:
+            self.offsets = np.cumsum([0] + sizes[:-1])
+            self.packed = np.empty(sum(sizes))
+            for start, stop, W in self._views():
+                self._fill(start, stop, W)
         else:
-            self._full = None
-            self._block = np.empty((self.block_rows, n))
+            self.offsets = [0] * len(sizes)
+            self.packed = np.empty(max(sizes))
+
+    def _views(self):
+        n = self.T.shape[0]
+        for (start, stop), offset in zip(self.layout, self.offsets):
+            size = (stop - start) * (n - start)
+            W = self.packed[offset:offset + size]
+            yield start, stop, W.reshape(stop - start, n - start)
+
+    def _fill(self, start, stop, W):
+        return _cross_weights(self.kernel, self.T[start:stop], self.T[start:], out=W)
 
     def blocks(self):
-        return _blocks(self.T.shape[0], self.block_rows)
-
-    def rows(self, start, stop):
-        if self._full is not None:
-            return self._full[start:stop]
-        return _cross_weights(self.kernel, self.T[start:stop], self.T,
-                              out=self._block[:stop - start])
+        """(start, stop, W[start:stop, start:]) for every row block."""
+        for start, stop, W in self._views():
+            yield start, stop, W if self.cached else self._fill(start, stop, W)
 
 
 class _Logistic:
-    """p_ij = sigmoid(g_j + mu_i) for blocks of rows i, with g fixed.
+    """p = sigmoid(g + mu) between fixed offsets g and points mu.
 
-    e^g is formed once; each block then costs one exponential per row
-    (see the module docstring), unless |g| + |mu| could overflow exp.
-    Results live in two reused block buffers, overwritten by the next call.
+    e^g is formed once and e^mu once per call or pass, so a block costs no
+    exponential of its own (see the module docstring), unless |g| + |mu|
+    could overflow exp.  Results live in two reused block buffers,
+    overwritten by the next call.
     """
 
     def __init__(self, g: np.ndarray):
@@ -243,20 +283,48 @@ class _Logistic:
         self.headroom = _EXP_SAFE - float(np.abs(g).max())
         self.eg = np.exp(g) if self.headroom > 0.0 else None
         self.ones = np.ones(g.shape[0])   # row sums as BLAS products
-        self._buf = np.empty((2, 0, g.shape[0]))
+        self._buf = np.empty(0)
 
-    def weighted(self, W: np.ndarray, mu: np.ndarray) -> tuple:
-        """(W * P, Q) with Q = 1 - P, for the rows mu of the block W."""
-        if self._buf.shape[1] < mu.shape[0]:
-            self._buf = np.empty((2, mu.shape[0], self.g.shape[0]))
-        WP, Q = self._buf[0, :mu.shape[0]], self._buf[1, :mu.shape[0]]
-        if self.eg is not None and float(np.abs(mu).max()) < self.headroom:
-            np.multiply.outer(np.exp(mu), self.eg, out=WP)
+    def exp_points(self, mu: np.ndarray):
+        """e^mu, or None when some e^g e^mu could overflow."""
+        if self.eg is None or float(np.abs(mu).max()) >= self.headroom:
+            return None
+        return np.exp(mu)
+
+    def weighted(self, W, mu, cols=slice(None), emu=None) -> tuple:
+        """(W * P, Q) with Q = 1 - P and P_ij = sigmoid(mu_i + g_j), for
+        the points mu of W's rows and the offsets ``g[cols]`` of its
+        columns (direction 1).  ``emu`` is e^mu when the caller has it."""
+        if emu is None:
+            emu = self.exp_points(mu)
+        eg = None if emu is None else self.eg[cols]
+        return self._fill(W, mu, emu, self.g[cols], eg)
+
+    def weighted_t(self, W, rows, mu, emu=None) -> tuple:
+        """(W * P, Q) with P_ij = sigmoid(g_i + mu_j), for the offsets
+        ``g[rows]`` of W's rows and the points mu of its columns
+        (direction 2)."""
+        if emu is None:
+            emu = self.exp_points(mu)
+        eg = None if emu is None else self.eg[rows]
+        return self._fill(W, self.g[rows], eg, mu, emu)
+
+    def _fill(self, W, a, ea, b, eb):
+        """(W * P, Q) for P_ij = sigmoid(a_i + b_j); exp-free when ea and
+        eb hold e^a and e^b."""
+        size = W.size
+        if self._buf.size < 2 * size:
+            # room for the largest block at once: block sizes vary a little
+            self._buf = np.empty(2 * max(size, _BLOCK_DOUBLES))
+        WP = self._buf[:size].reshape(W.shape)
+        Q = self._buf[size:2 * size].reshape(W.shape)
+        if eb is not None:
+            np.multiply.outer(ea, eb, out=WP)
             np.add(WP, 1.0, out=Q)
             np.reciprocal(Q, out=Q)
             WP *= Q
         else:
-            WP[...] = sigmoid(self.g[None, :] + mu[:, None])
+            WP[...] = sigmoid(a[:, None] + b[None, :])
             np.subtract(1.0, WP, out=Q)
         WP *= W
         return WP, Q
@@ -267,14 +335,55 @@ def _row_dots(A, B):
     return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
 
 
-def _local_steps(W, yk, logit, mu, where):
-    """Raw local Newton steps -score/curvature of m for the rows of W."""
-    WP, Q = logit.weighted(W, mu)
-    score = W @ yk - WP @ logit.ones
-    curv = -_row_dots(WP, Q)
-    if np.any(curv >= 0.0):
+def _newton_steps(score, info, where):
+    """Local Newton steps score / info of m, where info = sum_j w p (1 - p)
+    is minus the local curvature."""
+    if np.any(info <= 0.0):
         raise NumericalFailureError(f"nonnegative local curvature {where}")
-    return -score / curv
+    return score / info
+
+
+def _local_steps(W, yk, logit, mu, where):
+    """Local Newton steps of m for the query points mu of W's rows."""
+    WP, Q = logit.weighted(W, mu)
+    return _newton_steps(W @ yk - WP @ logit.ones, _row_dots(WP, Q), where)
+
+
+def _symmetric_sums(wcache, logit, mu, y=None, R=None):
+    """Kernel sums at every observation point, over the packed triangle.
+
+    With p_ij = sigmoid(g_j + mu_i), returns, for ``y``, the local scores
+    sum_j w_ij (y_j - p_ij) and informations sum_j w_ij p_ij (1 - p_ij) as
+    the columns of an (n, 2) array; for ``R``, sum_j w_ij p_ij (1 - p_ij) R_j,
+    shape (n, r).  Each block W[I, s:] serves rows I against columns s:
+    (direction 1) and, read down its columns past the diagonal block, rows
+    e: against columns I (direction 2).
+    """
+    n = mu.shape[0]
+    sums = np.zeros((n, 2 if R is None else R.shape[1]))
+    # e^mu once per pass; when it is unsafe, each block decides alone
+    emu = logit.exp_points(mu)
+    for s, e, W in wcache.blocks():
+        WP, Q = logit.weighted(W, mu[s:e], slice(s, None),
+                               None if emu is None else emu[s:e])
+        if R is None:
+            sums[s:e, 0] += W @ y[s:] - WP @ logit.ones[s:]
+            sums[s:e, 1] += _row_dots(WP, Q)
+        else:
+            WP *= Q
+            sums[s:e] += WP @ R[s:]
+        if e == n:
+            continue
+        V = W[:, e - s:]
+        WP, Q = logit.weighted_t(V, slice(s, e), mu[e:],
+                                 None if emu is None else emu[e:])
+        if R is None:
+            sums[e:, 0] += y[s:e] @ V - logit.ones[s:e] @ WP
+            sums[e:, 1] += np.einsum("ij,ij->j", WP, Q)
+        else:
+            WP *= Q
+            sums[e:] += WP.T @ R[s:e]
+    return sums
 
 
 def _fixed_logit_parts(data: Dataset, state: SmoothState, row: int) -> np.ndarray:
@@ -305,13 +414,8 @@ def _m_gradients_all(data, state, row, wcache, rhs=None):
     passes the full right-hand side of the implicit-function equations.
     """
     logit = _Logistic(_fixed_logit_parts(data, state, row))
-    mu = state.m[row]
     rhs1 = np.column_stack([-data.x if rhs is None else rhs, logit.ones])
-    sums = np.empty((data.n, rhs1.shape[1]))
-    for start, stop in wcache.blocks():
-        WL, Q = logit.weighted(wcache.rows(start, stop), mu[start:stop])
-        WL *= Q                      # = -W * l''
-        sums[start:stop] = WL @ rhs1
+    sums = _symmetric_sums(wcache, logit, state.m[row], R=rhs1)
     num, den = sums[:, :-1], sums[:, -1]
     if np.any(den == 0.0):
         raise NumericalFailureError("zero curvature sum in least-favourable gradient")
@@ -425,10 +529,8 @@ def _m_sweep(data, state, row, k, wcache, inner_tol, inner_max_iter, step_cap):
     mu = state.m[row].copy()
     cap_hits = 0
     for _ in range(inner_max_iter):
-        delta = np.empty(data.n)
-        for start, stop in wcache.blocks():
-            delta[start:stop] = _local_steps(wcache.rows(start, stop), yk, logit,
-                                             mu[start:stop], "during m sweep")
+        sums = _symmetric_sums(wcache, logit, mu, y=yk)
+        delta = _newton_steps(sums[:, 0], sums[:, 1], "during m sweep")
         clipped = np.clip(delta, -step_cap, step_cap)
         cap_hits += int(np.count_nonzero(np.abs(delta) > step_cap))
         mu = mu + clipped

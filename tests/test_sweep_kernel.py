@@ -1,4 +1,5 @@
-"""The blocked O(n^2) pass: factored logistic, cross weights, block layout."""
+"""The blocked O(n^2) pass: factored logistic, cross weights, packed
+triangular cache and its two-direction pass, block layout."""
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from semilogit import profile
 from semilogit.core import sigmoid
 from semilogit.profile import (
     _cross_weights,
+    _fixed_logit_parts,
     _Logistic,
+    _m_gradients_all,
     _m_sweep,
     _solve_m_at_points,
+    _symmetric_sums,
     _WeightCache,
 )
 from conftest import random_state_dataset
@@ -68,13 +72,18 @@ class TestCrossWeights:
         kern = bandwidth_from_scale(data.t, 0.7)
         monkeypatch.setattr(profile, "_BLOCK_DOUBLES", 7 * 50)
         cached = _WeightCache(kern, data.t)
-        assert cached.block_rows == 7 and data.n % cached.block_rows
         monkeypatch.setattr(profile, "_CACHE_LIMIT", 0)
         uncached = _WeightCache(kern, data.t)
-        blocks = [uncached.rows(a, b).copy() for a, b in uncached.blocks()]
-        assert [b.shape[0] for b in blocks] == [7] * 7 + [1]
-        np.testing.assert_array_equal(cached.rows(0, data.n), np.vstack(blocks))
-        np.testing.assert_array_equal(np.diagonal(cached.rows(0, data.n)), 1.0)
+        assert cached.cached and not uncached.cached
+        # rows per block grow as the rows shorten; n cuts the last one short
+        assert cached.layout == [(0, 7), (7, 15), (15, 25), (25, 39), (39, 50)]
+        assert profile._block_rows(50 - 39) > 50 - 39
+        full = _cross_weights(kern, data.t, data.t)
+        for (a, b, Wc), (a2, b2, Wu) in zip(cached.blocks(), uncached.blocks()):
+            assert (a, b) == (a2, b2) and Wc.shape == (b - a, data.n - a)
+            np.testing.assert_array_equal(Wc, Wu)
+            np.testing.assert_array_equal(Wc, full[a:b, a:])
+            np.testing.assert_array_equal(np.diagonal(Wc), 1.0)
 
     def test_tiny_bandwidths_many_dimensions(self):
         # the normalised kernel's constant is (1e80 / sqrt(2 pi))^4 = inf
@@ -82,7 +91,9 @@ class TestCrossWeights:
         kern = KernelConfig(bandwidths=np.full(4, 1e-80))
         state = SmoothState(beta, m, reference=2)
         cache = _WeightCache(kern, data.t)
-        assert np.all(np.isfinite(cache.rows(0, data.n)))
+        for _, _, W in cache.blocks():
+            assert np.all(np.isfinite(W))
+            np.testing.assert_array_equal(np.diagonal(W), 1.0)
         try:
             mu, _ = _m_sweep(data, state, 0, 1, cache, 1e-10, 1, 5.0)
         except SemilogitError:
@@ -113,3 +124,124 @@ class TestSolveAtPoints:
                 score, curv = local_smoothed_score(data, int(k), tq, mu[row, j],
                                                    state, kern)
                 assert abs(score / curv) < 1e-9
+
+
+def _ragged_cache(monkeypatch, kern, T, cached):
+    """A weight cache of several row blocks, the last one cut short by n."""
+    n = T.shape[0]
+    monkeypatch.setattr(profile, "_BLOCK_DOUBLES", 9 * n)
+    if not cached:
+        monkeypatch.setattr(profile, "_CACHE_LIMIT", 0)
+    cache = _WeightCache(kern, T)
+    assert cache.cached == cached and len(cache.layout) > 3
+    start, stop = cache.layout[-1]
+    assert profile._block_rows(n - start) > stop - start
+    return cache
+
+
+def _dense(kern, data, g, mu):
+    """Full kernel matrix and logistic P_ij = sigmoid(g_j + mu_i)."""
+    W = _cross_weights(kern, data.t, data.t)
+    return W, sigmoid(g[None, :] + mu[:, None])
+
+
+@pytest.mark.parametrize("cached", [True, False])
+@pytest.mark.parametrize("K, q", [(2, 1), (2, 2), (3, 1), (3, 2)])
+class TestTriangularPassEqualsDense:
+    """The packed two-direction pass against the full n x n sums."""
+
+    def _setup(self, monkeypatch, cached, K, q):
+        data, beta, m = random_state_dataset(10 * K + q, n=60, q=q, K=K)
+        state = SmoothState(beta, m, reference=K)
+        kern = bandwidth_from_scale(data.t, 0.6)
+        row = K - 2
+        g = _fixed_logit_parts(data, state, row)
+        W, P = _dense(kern, data, g, state.m[row])
+        return data, state, row, _ragged_cache(monkeypatch, kern, data.t, cached), W, P
+
+    def test_m_sweep(self, monkeypatch, cached, K, q):
+        data, state, row, cache, W, P = self._setup(monkeypatch, cached, K, q)
+        k = int(state.categories()[row])
+        yk = (data.y == k).astype(np.float64)
+        step = (W @ yk - (W * P).sum(axis=1)) / (W * P * (1.0 - P)).sum(axis=1)
+        expected = state.m[row] + np.clip(step, -5.0, 5.0)
+        mu, _ = _m_sweep(data, state, row, k, cache, 1e-10, 1, 5.0)
+        np.testing.assert_allclose(mu, expected, rtol=1e-12, atol=1e-12)
+
+    def test_m_gradients_all(self, monkeypatch, cached, K, q):
+        data, state, row, cache, W, P = self._setup(monkeypatch, cached, K, q)
+        M = W * P * (1.0 - P)
+        rhs = np.random.default_rng(q).normal(size=(data.n, 3))
+        for given, expected_num in [(None, -M @ data.x), (rhs, M @ rhs)]:
+            expected = expected_num / M.sum(axis=1)[:, None]
+            got = _m_gradients_all(data, state, row, cache, given)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestDirectionTwoOverflow:
+    def test_transposed_logistic_falls_back_to_sigmoid(self):
+        # |g| + |mu| near 800 would overflow e^g e^mu
+        g = 400.0 * np.linspace(-1.0, 1.0, 51)
+        mu = 400.0 * np.linspace(-1.0, 1.0, 9)
+        logit = _Logistic(g)
+        assert logit.exp_points(mu) is None
+        W = np.random.default_rng(0).uniform(size=(20, 9))
+        WP, Q = logit.weighted_t(W, slice(10, 30), mu)
+        P_ref = sigmoid(g[10:30, None] + mu[None, :])
+        np.testing.assert_allclose(WP, W * P_ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(Q, 1.0 - P_ref, rtol=0, atol=1e-14)
+        assert P_ref.min() < 1e-250 and P_ref.max() == 1.0
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_pass_matches_dense_sigmoid(self, monkeypatch, cached):
+        data, _, _ = random_state_dataset(8, n=60, K=2)
+        kern = bandwidth_from_scale(data.t, 0.8)
+        cache = _ragged_cache(monkeypatch, kern, data.t, cached)
+        rng = np.random.default_rng(8)
+        g = rng.uniform(-400.0, 400.0, size=data.n)
+        mu = rng.uniform(-400.0, 400.0, size=data.n)
+        logit = _Logistic(g)
+        assert logit.exp_points(mu) is None
+        y = (data.y == 1).astype(np.float64)
+        W, P = _dense(kern, data, g, mu)
+        M = W * P * (1.0 - P)
+        sums = _symmetric_sums(cache, logit, mu, y=y)
+        np.testing.assert_allclose(sums[:, 0], W @ y - (W * P).sum(axis=1),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sums[:, 1], M.sum(axis=1), rtol=1e-12, atol=0)
+        R = rng.normal(size=(data.n, 2))
+        np.testing.assert_allclose(_symmetric_sums(cache, logit, mu, R=R), M @ R,
+                                   rtol=1e-12, atol=1e-300)
+
+
+class TestWorkCount:
+    """Each unordered pair's weight is stored, or computed per pass, once,
+    up to the diagonal blocks: at most n (n + 1) / 2 + n G of them for
+    blocks of at most G rows."""
+
+    def test_packed_cache_and_uncached_pass(self, monkeypatch):
+        data, beta, m = random_state_dataset(12, n=60, K=2)
+        state = SmoothState(beta, m, reference=2)
+        kern = bandwidth_from_scale(data.t, 0.8)
+        n = data.n
+        cache = _ragged_cache(monkeypatch, kern, data.t, cached=True)
+        G = max(stop - start for start, stop in cache.layout)
+        bound = n * (n + 1) // 2 + n * G
+        assert bound < n * n
+        assert cache.packed.nbytes <= 8 * bound
+
+        uncached = _ragged_cache(monkeypatch, kern, data.t, cached=False)
+        computed = []
+        real = profile._cross_weights
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            computed.append(out.size)
+            return out
+
+        monkeypatch.setattr(profile, "_cross_weights", counting)
+        for one_pass in (lambda: _m_sweep(data, state, 0, 1, uncached, 1e-10, 1, 5.0),
+                         lambda: _m_gradients_all(data, state, 0, uncached)):
+            computed.clear()
+            one_pass()
+            assert n * (n + 1) // 2 <= sum(computed) <= bound
