@@ -46,7 +46,14 @@ from .kernels import (
     kernel_weight,
     kernel_weights,
 )
-from .oracles import golden_section, oracle_local_solve, oracle_mle
+from .oracles import (
+    golden_section,
+    local_m_update,
+    local_smoothed_score,
+    m_gradient,
+    oracle_local_solve,
+    oracle_mle,
+)
 from .parametric import (
     ParametricFitResult,
     fit_parametric,
@@ -58,9 +65,6 @@ from .profile import (
     SmoothState,
     beta_update,
     fit_semiparametric,
-    local_m_update,
-    local_smoothed_score,
-    m_gradient,
     predict_probabilities,
     predict_surface,
     profile_scores,

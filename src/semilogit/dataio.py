@@ -522,9 +522,10 @@ def run_fit(config: RunConfig) -> int:
         "versions.semilogit": __version__, "versions.numpy": np.__version__,
     })
 
+    # any other fit key is echoed in the manifest and otherwise ignored
+    opts = {k: config.fit_options[k] for k in ("tol", "max_iter")
+            if k in config.fit_options}
     if config.model == "parametric":
-        opts = {k: config.fit_options[k] for k in ("tol", "max_iter")
-                if k in config.fit_options}
         fit = fit_parametric(data, reference=reference,
                              term_names=["intercept"] + x_names + t_names,
                              **opts)
@@ -543,9 +544,6 @@ def run_fit(config: RunConfig) -> int:
                 raise ShapeError(f"{kernel.q} bandwidths for q={data.q}")
         else:
             kernel = bandwidth_from_scale(data.t, config.kernel_scale)
-        opts = {k: config.fit_options[k]
-                for k in ("tol", "max_iter", "inner_tol")
-                if k in config.fit_options}
         fit = fit_semiparametric(data, kernel, reference=reference, **opts)
         _write_coefficient_table(out / "coefficients.csv", fit.categories,
                                  data.labels, x_names, fit.beta, fit.beta_se)

@@ -84,8 +84,6 @@ from .exceptions import (
 # kernel_weights is not called here, but perfbench's tracer wraps it as an
 # attribute of this module (its kernels.kernel_weights.* metrics).
 from .kernels import KernelConfig, kernel_weights  # noqa: F401
-# The pointwise references are re-exported for the package namespace.
-from .oracles import local_m_update, local_smoothed_score, m_gradient  # noqa: F401
 from .parametric import fit_parametric
 
 # Doubles per temporary block of the O(n^2) passes (512 kB): a weight
@@ -108,7 +106,8 @@ _BLOCK_DOUBLES = 65_536
 # k2-uncached (n=6100) keeps measuring the uncached pass and its small
 # footprint.
 _CACHE_LIMIT = 6000
-_BURNIN_SWEEPS = 200        # cap on passes per curve or Jacobian solve
+# Cap on passes per curve or Jacobian solve and on steps per query point.
+_BURNIN_SWEEPS = 200
 # Residual differences kept by the Anderson-mixed curve and Jacobian
 # solves.  _m_sweep + _m_gradients_all calls per fit at n=800
 # (sine/linear DGP of perfbench's k3-curve): K=3 at kernel scale 0.5 on
@@ -124,6 +123,8 @@ _ANDERSON_DEPTH = 3
 # the order of x, so the score it feeds is exact to about 1e-10 per
 # observation.
 _JACOBIAN_TOL = 1e-10
+# Max-norm step of m at which a query-point solve stops.
+_POINT_TOL = 1e-10
 _EXP_SAFE = 600.0           # e^g e^mu is finite while |g| + |mu| stays below
 
 
@@ -134,7 +135,6 @@ class SmoothState:
     beta: np.ndarray         # (K-1, p)
     m: np.ndarray            # (K-1, n), values at the observation points
     reference: int
-    m_grad: np.ndarray | None = None   # (K-1, n, (K-1) p), dm_k/dbeta at t_i
 
     def __post_init__(self):
         self.beta = np.atleast_2d(np.asarray(self.beta, dtype=np.float64))
@@ -207,22 +207,21 @@ def _cross_weights(kernel: KernelConfig, Tq: np.ndarray, T: np.ndarray,
     and the surface solve form is unchanged by it, and for tiny bandwidths
     or many smooth covariates it overflows.  The coordinates are scaled
     once by 1 / (h sqrt 2), so each pair costs a difference, a square and
-    an exponential.  Written block by block into ``out`` when given.
+    an exponential.  Written into ``out`` when given; callers pass one
+    block of at most ``_BLOCK_DOUBLES`` weights.
     """
     if out is None:
         out = np.empty((Tq.shape[0], T.shape[0]))
     scale = 1.0 / (np.sqrt(2.0) * kernel.bandwidths)
     Aq, A = Tq * scale, T * scale
-    for start, stop in _blocks(Tq.shape[0], _block_rows(T.shape[0])):
-        block = out[start:stop]
-        for d in range(A.shape[1]):
-            z = block if d == 0 else np.empty_like(block)
-            np.subtract.outer(Aq[start:stop, d], A[:, d], out=z)
-            z *= z
-            if d:
-                block += z
-        np.negative(block, out=block)
-        np.exp(block, out=block)
+    for d in range(A.shape[1]):
+        z = out if d == 0 else np.empty_like(out)
+        np.subtract.outer(Aq[:, d], A[:, d], out=z)
+        z *= z
+        if d:
+            out += z
+    np.negative(out, out=out)
+    np.exp(out, out=out)
     return out
 
 
@@ -519,24 +518,19 @@ def beta_update(data: Dataset, k: int, state: SmoothState,
     return state.beta[row] + step.reshape(state.beta.shape)[row]
 
 
-def _m_sweep(data, state, row, k, wcache, inner_tol, inner_max_iter, step_cap):
-    """Local Newton steps of m_k at all observation points (one snapshot).
+def _m_sweep(data, state, row, k, wcache):
+    """One local Newton step of m_k at every observation point, clipped
+    at ``STEP_CAP``, all from the snapshot ``state``.
 
     Returns the new m row and the number of cap-clipped updates.
     """
     logit = _Logistic(_fixed_logit_parts(data, state, row))
     yk = (data.y == k).astype(np.float64)
-    mu = state.m[row].copy()
-    cap_hits = 0
-    for _ in range(inner_max_iter):
-        sums = _symmetric_sums(wcache, logit, mu, y=yk)
-        delta = _newton_steps(sums[:, 0], sums[:, 1], "during m sweep")
-        clipped = np.clip(delta, -step_cap, step_cap)
-        cap_hits += int(np.count_nonzero(np.abs(delta) > step_cap))
-        mu = mu + clipped
-        if np.abs(clipped).max() < inner_tol:
-            break
-    return mu, cap_hits
+    mu = state.m[row]
+    sums = _symmetric_sums(wcache, logit, mu, y=yk)
+    delta = _newton_steps(sums[:, 0], sums[:, 1], "during m sweep")
+    cap_hits = int(np.count_nonzero(np.abs(delta) > STEP_CAP))
+    return mu + np.clip(delta, -STEP_CAP, STEP_CAP), cap_hits
 
 
 def _anderson_mix(xs, gs):
@@ -588,7 +582,7 @@ def _mixed_passes(gs_pass, x, tol, max_passes, mix):
     return x, False, delta
 
 
-def _resolve_all_m(data, state, cats, wcache, tol, step_cap, max_sweeps=None):
+def _resolve_all_m(data, state, cats, wcache, tol, max_sweeps=None):
     """Solve all m rows onto the least favourable curve of state.beta.
 
     The fixed-point map G is one Gauss-Seidel pass of local Newton steps
@@ -614,8 +608,7 @@ def _resolve_all_m(data, state, cats, wcache, tol, step_cap, max_sweeps=None):
         state.m = x.reshape(shape).copy()
         hits_total = 0
         for row, k in enumerate(cats):
-            state.m[row], hits = _m_sweep(data, state, row, int(k), wcache,
-                                          tol, 1, step_cap)
+            state.m[row], hits = _m_sweep(data, state, row, int(k), wcache)
             hits_total += hits
         worst_cap = max(worst_cap, hits_total / state.m.size)
         return state.m.ravel().copy()
@@ -643,8 +636,7 @@ def starting_state(data: Dataset, reference: int) -> SmoothState:
 
 def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
                        reference: int | None = None, tol: float = 1e-6,
-                       max_iter: int = 200, inner_tol: float = 1e-10,
-                       step_cap: float = STEP_CAP,
+                       max_iter: int = 200,
                        start: SmoothState | None = None) -> SemiparametricFitResult:
     """Profile-Newton fit of the semiparametric MNL.
 
@@ -658,15 +650,24 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     solve and after every step; it never decreases, and its gradient in
     beta is the score the loop drives to zero.  With ``max_iter=0`` the
     fit stops after the first solve, so ``loglik`` is the profile
-    log-likelihood at the starting coefficients.  ``inner_tol`` is kept
-    in ``options`` as the tolerance of :func:`predict_surface`'s local
-    solves on this fit.
+    log-likelihood at the starting coefficients.  ``start`` replaces the
+    parametric start, and its reference is the fit's.  Local steps are
+    clipped at ``STEP_CAP``, with at most ``_BURNIN_SWEEPS`` passes per solve.
 
     ``beta_se`` comes from the full (K-1) p profile information H.  A fit
     in which some curve or Jacobian solve stopped at its pass cap carries
     a warning, since the trace entry or score it fed is then inexact.
     """
     K = data.n_categories
+    if start is not None:
+        if reference not in (None, start.reference):
+            raise ConfigError(f"reference {reference} != start reference "
+                              f"{start.reference}")
+        reference = start.reference
+        if start.beta.shape != (K - 1, data.p) or start.m.shape != (K - 1, data.n):
+            raise ShapeError(
+                f"start has beta {start.beta.shape} and m {start.m.shape}, "
+                f"not ({K - 1}, {data.p}) and ({K - 1}, {data.n})")
     reference = K if reference is None else reference
     if data.q == 0:
         raise ConfigError("semiparametric fit needs at least one smooth covariate")
@@ -683,8 +684,7 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
 
     def resolve(st):
         nonlocal worst_cap_fraction
-        cap, done, change = _resolve_all_m(data, st, cats, wcache,
-                                           resolve_tol, step_cap)
+        cap, done, change = _resolve_all_m(data, st, cats, wcache, resolve_tol)
         worst_cap_fraction = max(worst_cap_fraction, cap)
         if not done:
             capped.append(change)
@@ -736,7 +736,6 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
 
     J = jacobian(J)
     _, info = _score_information(data, state, J)
-    state.m_grad = J
     if not converged:
         warnings.append(f"no convergence after {iterations} iterations")
     if capped:
@@ -753,8 +752,7 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
         smooth=state, loglik=ll, loglik_trace=trace, converged=converged,
         iterations=iterations, kernel=kernel, reference=reference,
         categories=cats, warnings=warnings,
-        options={"tol": tol, "max_iter": max_iter, "inner_tol": inner_tol,
-                 "step_cap": step_cap},
+        options={"tol": tol, "max_iter": max_iter},
     )
 
 
@@ -781,12 +779,13 @@ def profile_scores(data: Dataset, state: SmoothState,
     return score.reshape(state.beta.shape)
 
 
-def _solve_m_at_points(data, state, kernel, Tq,
-                       inner_tol=1e-10, max_steps=200, step_cap=STEP_CAP):
+def _solve_m_at_points(data, state, kernel, Tq):
     """Solve the local first-order conditions at arbitrary points, (K-1, G).
 
-    Each block of query points gets its kernel weights once, and every
-    category's smooth is solved on them.
+    Each block of query points gets its kernel weights once.  On it every
+    category's smooth takes plain :func:`_mixed_passes` of local Newton
+    steps clipped at ``STEP_CAP`` from the nearest observation point's
+    value, the curve solve's stop rule with tolerance ``_POINT_TOL``.
     """
     Tq = np.atleast_2d(np.asarray(Tq, dtype=np.float64))
     if Tq.shape[1] != data.q:
@@ -803,15 +802,13 @@ def _solve_m_at_points(data, state, kernel, Tq,
         # seed from the most-weighted (nearest) observation point
         nearest = np.argmax(W, axis=1)
         for row in range(len(cats)):
-            mub = state.m[row][nearest]
-            for _ in range(max_steps):
-                delta = np.clip(_local_steps(W, ys[row], logits[row], mub,
-                                             "at a query point"),
-                                -step_cap, step_cap)
-                mub = mub + delta
-                if np.abs(delta).max() < inner_tol:
-                    break
-            mu[row, start:stop] = mub
+            def step(mub):
+                return mub + np.clip(_local_steps(W, ys[row], logits[row], mub,
+                                                  "at a query point"),
+                                     -STEP_CAP, STEP_CAP)
+            mu[row, start:stop] = _mixed_passes(step, state.m[row][nearest],
+                                                _POINT_TOL, _BURNIN_SWEEPS,
+                                                mix=False)[0]
     return mu
 
 
@@ -836,11 +833,10 @@ def predict_surface(fit: SemiparametricFitResult, data: Dataset,
     """Probabilities over many smooth-covariate points at fixed x, (G, K)."""
     T_new = np.atleast_2d(np.asarray(T_new, dtype=np.float64))
     x_fixed = np.atleast_1d(np.asarray(x_fixed, dtype=np.float64))
-    state = fit.smooth
-    K = data.n_categories
-    inner_tol = fit.options.get("inner_tol", 1e-10)
-    eta = np.zeros((T_new.shape[0], K))
-    m_new = _solve_m_at_points(data, state, fit.kernel, T_new, inner_tol=inner_tol)
+    if x_fixed.shape != (data.p,):
+        raise ShapeError(f"expected x of length {data.p}, got shape {x_fixed.shape}")
+    eta = np.zeros((T_new.shape[0], data.n_categories))
+    m_new = _solve_m_at_points(data, fit.smooth, fit.kernel, T_new)
     for row, k in enumerate(fit.categories):
         eta[:, int(k) - 1] = x_fixed @ fit.beta[row] + m_new[row]
     shifted = eta - eta.max(axis=1, keepdims=True)

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 from semilogit.cli import main
+from semilogit.dataio import fmt
 
 
 def write_config(path, extra=None, **top):
@@ -39,6 +40,17 @@ class TestFitCommand:
               "--scale", "0.5"])
         manifest = (tmp_path / "o" / "manifest.txt").read_text()
         assert "config.kernel_scale = 0.5" in manifest
+
+    def test_dropped_inner_tol_key_is_echoed_and_ignored(self, tmp_path):
+        plain = write_config(tmp_path / "a.json")
+        legacy = write_config(tmp_path / "b.json", fit={"inner_tol": 1e-12})
+        assert main(["fit", "--config", str(plain), "--out", str(tmp_path / "a")]) == 0
+        assert main(["fit", "--config", str(legacy), "--out", str(tmp_path / "b")]) == 0
+        manifest = (tmp_path / "b" / "manifest.txt").read_text()
+        assert f"config.fit.inner_tol = {fmt(1e-12)}" in manifest
+        for f in sorted((tmp_path / "a").iterdir()):
+            if f.name != "manifest.txt":
+                assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes(), f.name
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["fit", "--config", str(tmp_path / "nope.json")])
@@ -96,6 +108,23 @@ class TestSurfaceCommand:
         for i in range(0, len(body), 2):
             p = float(body[i][3]) + float(body[i + 1][3])
             assert abs(p - 1.0) < 1e-8
+
+    def test_state_with_dropped_options_gives_same_surface(self, tmp_path):
+        cfg = self._fit(tmp_path)
+        state = json.loads((tmp_path / "f" / "fit_state.json").read_text())
+        assert set(state["options"]) == {"max_iter", "tol"}
+        # a fit_state.json as written before inner_tol and step_cap were dropped
+        state["options"].update(inner_tol=fmt(1e-10), step_cap=fmt(5.0))
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "fit_state.json").write_text(
+            json.dumps(state, indent=1, sort_keys=True) + "\n")
+        surfaces = []
+        for fit_dir in ("f", "old"):
+            assert main(["surface", "--config", str(cfg),
+                         "--fit-dir", str(tmp_path / fit_dir),
+                         "--out", str(tmp_path / ("s_" + fit_dir))]) == 0
+            surfaces.append((tmp_path / ("s_" + fit_dir) / "surface.csv").read_bytes())
+        assert surfaces[0] == surfaces[1]
 
     def test_axis_not_smooth_rejected(self, tmp_path):
         cfg_path = self._fit(tmp_path)

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from semilogit import SmoothState, bandwidth_from_scale
 from semilogit import profile
-from semilogit.profile import STEP_CAP, _resolve_all_m, _WeightCache
+from semilogit.profile import _resolve_all_m, _WeightCache
 from conftest import random_state_dataset, sine_dgp
 
 TOL = 1e-9
 
 
-def plain_resolve(data, state, cats, wcache, tol, step_cap, max_sweeps=None):
+def plain_resolve(data, state, cats, wcache, tol, max_sweeps=None):
     """Reference: unmixed Gauss-Seidel passes, same stop rule and returns."""
     if max_sweeps is None:
         max_sweeps = profile._BURNIN_SWEEPS
@@ -21,8 +21,7 @@ def plain_resolve(data, state, cats, wcache, tol, step_cap, max_sweeps=None):
         delta = 0.0
         hits_total = 0
         for row, k in enumerate(cats):
-            mu, hits = profile._m_sweep(data, state, row, int(k), wcache, tol,
-                                        1, step_cap)
+            mu, hits = profile._m_sweep(data, state, row, int(k), wcache)
             delta = max(delta, float(np.abs(mu - state.m[row]).max()))
             hits_total += hits
             state.m[row] = mu
@@ -57,10 +56,10 @@ class TestAcceleratedResolve:
         data, state, wcache = start_problem(K, 250, seed=2)
         cats = state.categories()
         fast, slow = state.copy(), state.copy()
-        _, done, _ = _resolve_all_m(data, fast, cats, wcache, 1e-12, STEP_CAP,
+        _, done, _ = _resolve_all_m(data, fast, cats, wcache, 1e-12,
                                     max_sweeps=2000)
         _, done_ref, _ = plain_resolve(data, slow, cats, wcache, 1e-12,
-                                       STEP_CAP, max_sweeps=2000)
+                                       max_sweeps=2000)
         assert done and done_ref
         np.testing.assert_allclose(fast.m, slow.m, rtol=0, atol=1e-8)
 
@@ -71,10 +70,10 @@ class TestAcceleratedResolve:
         state = SmoothState(beta, m, reference=3)
         wcache = _WeightCache(bandwidth_from_scale(data.t, scale), data.t)
         cats = state.categories()
-        _, done, _ = _resolve_all_m(data, state, cats, wcache, TOL, STEP_CAP)
+        _, done, _ = _resolve_all_m(data, state, cats, wcache, TOL)
         assert done
         before = state.m.copy()
-        plain_resolve(data, state, cats, wcache, TOL, STEP_CAP, max_sweeps=1)
+        plain_resolve(data, state, cats, wcache, TOL, max_sweeps=1)
         assert np.abs(state.m - before).max() < 10 * TOL
 
     def test_fit_takes_at_most_six_tenths_of_the_plain_passes(
@@ -109,7 +108,7 @@ class TestSweepCap:
     def test_resolve_reports_the_cap(self):
         data, state, wcache = start_problem(3, 200, seed=1)
         _, done, change = _resolve_all_m(data, state, state.categories(),
-                                         wcache, TOL, STEP_CAP, max_sweeps=1)
+                                         wcache, TOL, max_sweeps=1)
         assert not done
         assert change >= TOL
 

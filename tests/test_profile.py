@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semilogit import (
+    ConfigError,
     Dataset,
     DGPSpec,
     KernelConfig,
@@ -23,13 +24,14 @@ from semilogit import (
     m_gradient,
     oracle_local_solve,
     predict_probabilities,
+    predict_surface,
     profile_scores,
     score_and_curvature,
     simulate,
     softmax_probabilities,
 )
 from semilogit.profile import _m_gradients_all, _m_sweep, _WeightCache
-from conftest import random_state_dataset
+from conftest import random_state_dataset, sine_dgp
 
 
 def zero_state(data, K):
@@ -189,7 +191,7 @@ class TestEngineMatchesPointOps:
         state = SmoothState(beta, m, reference=3)
         kern = bandwidth_from_scale(data.t, 0.8)
         cache = _WeightCache(kern, data.t)
-        swept, _ = _m_sweep(data, state, 0, 1, cache, 1e-12, 1, 5.0)
+        swept, _ = _m_sweep(data, state, 0, 1, cache)
         for i in range(data.n):
             manual = local_m_update(data, 1, data.t[i], float(m[0, i]),
                                     state, kern)
@@ -213,7 +215,7 @@ class TestBetaUpdate:
         kern = bandwidth_from_scale(data.t, 0.9)
         cache = _WeightCache(kern, data.t)
         for _ in range(80):
-            mu, _ = _m_sweep(data, state, 0, 1, cache, 1e-12, 1, 5.0)
+            mu, _ = _m_sweep(data, state, 0, 1, cache)
             if np.abs(mu - state.m[0]).max() < 1e-12:
                 break
             state.m[0] = mu
@@ -318,6 +320,37 @@ class TestFitSemiparametric:
         assert np.all(eta[:, fit.reference - 1] == 0.0)
 
 
+class TestStartState:
+    @pytest.fixture(scope="class")
+    def reference_one_fit(self):
+        data = sine_dgp(3, 200, seed=1)
+        kern = bandwidth_from_scale(data.t, 0.5)
+        fit = fit_semiparametric(data, kern, reference=1)
+        assert fit.converged
+        return data, kern, fit
+
+    def test_reference_taken_from_start(self, reference_one_fit):
+        data, kern, fit = reference_one_fit
+        refit = fit_semiparametric(data, kern, start=fit.smooth)
+        assert refit.converged
+        assert refit.reference == refit.smooth.reference == 1
+        assert refit.loglik == pytest.approx(fit.loglik, abs=1e-6)
+        np.testing.assert_allclose(refit.beta, fit.beta, atol=1e-6)
+
+    def test_conflicting_reference_rejected(self, reference_one_fit):
+        data, kern, fit = reference_one_fit
+        with pytest.raises(ConfigError):
+            fit_semiparametric(data, kern, reference=3, start=fit.smooth)
+
+    @pytest.mark.parametrize("beta_cols, m_cols, rows", [
+        (2, 200, 2), (1, 150, 2), (1, 200, 1)])
+    def test_start_shape_checked(self, reference_one_fit, beta_cols, m_cols, rows):
+        data, kern, fit = reference_one_fit
+        start = SmoothState(np.zeros((rows, beta_cols)), np.zeros((rows, m_cols)), 1)
+        with pytest.raises(ShapeError):
+            fit_semiparametric(data, kern, start=start, max_iter=0)
+
+
 @pytest.fixture(scope="module")
 def converged_fit():
     spec = DGPSpec(n_categories=2, n=240, seed=16, beta=[[0.7]],
@@ -358,6 +391,12 @@ class TestPredict:
         p1 = predict_probabilities(fit, data, [1.0], t0)
         shift = np.log(p1[0] / p1[1]) - np.log(p0[0] / p0[1])
         assert shift == pytest.approx(fit.beta[0, 0], abs=1e-10)
+
+    @pytest.mark.parametrize("x_fixed", [[0.0, 0.0], [[0.0]]])
+    def test_surface_checks_x_shape(self, converged_fit, x_fixed):
+        data, fit = converged_fit
+        with pytest.raises(ShapeError):
+            predict_surface(fit, data, [[0.0], [0.5]], x_fixed)
 
 
 class TestOracleCrossChecks:

@@ -95,21 +95,25 @@ class TestCrossWeights:
             assert np.all(np.isfinite(W))
             np.testing.assert_array_equal(np.diagonal(W), 1.0)
         try:
-            mu, _ = _m_sweep(data, state, 0, 1, cache, 1e-10, 1, 5.0)
+            mu, _ = _m_sweep(data, state, 0, 1, cache)
         except SemilogitError:
             return
         assert np.all(np.isfinite(mu))
 
 
 class TestSolveAtPoints:
+    @pytest.fixture(autouse=True)
+    def _tight_tolerance(self, monkeypatch):
+        monkeypatch.setattr(profile, "_POINT_TOL", 1e-12)
+
     def test_same_values_across_block_layouts(self, monkeypatch):
         data, beta, m = random_state_dataset(5, n=60, K=3)
         state = SmoothState(beta, m, reference=3)
         kern = bandwidth_from_scale(data.t, 0.8)
         Tq = np.linspace(-1.5, 1.5, 23)[:, None]
-        one_block = _solve_m_at_points(data, state, kern, Tq, inner_tol=1e-12)
+        one_block = _solve_m_at_points(data, state, kern, Tq)
         monkeypatch.setattr(profile, "_BLOCK_DOUBLES", 5 * data.n)
-        five_rows = _solve_m_at_points(data, state, kern, Tq, inner_tol=1e-12)
+        five_rows = _solve_m_at_points(data, state, kern, Tq)
         assert one_block.shape == (2, 23)
         np.testing.assert_allclose(five_rows, one_block, rtol=0, atol=1e-12)
 
@@ -118,7 +122,7 @@ class TestSolveAtPoints:
         state = SmoothState(beta, m, reference=3)
         kern = bandwidth_from_scale(data.t, 0.8)
         Tq = np.array([[-0.7], [0.2], [1.1]])
-        mu = _solve_m_at_points(data, state, kern, Tq, inner_tol=1e-12)
+        mu = _solve_m_at_points(data, state, kern, Tq)
         for row, k in enumerate(state.categories()):
             for j, tq in enumerate(Tq):
                 score, curv = local_smoothed_score(data, int(k), tq, mu[row, j],
@@ -165,7 +169,7 @@ class TestTriangularPassEqualsDense:
         yk = (data.y == k).astype(np.float64)
         step = (W @ yk - (W * P).sum(axis=1)) / (W * P * (1.0 - P)).sum(axis=1)
         expected = state.m[row] + np.clip(step, -5.0, 5.0)
-        mu, _ = _m_sweep(data, state, row, k, cache, 1e-10, 1, 5.0)
+        mu, _ = _m_sweep(data, state, row, k, cache)
         np.testing.assert_allclose(mu, expected, rtol=1e-12, atol=1e-12)
 
     def test_m_gradients_all(self, monkeypatch, cached, K, q):
@@ -240,7 +244,7 @@ class TestWorkCount:
             return out
 
         monkeypatch.setattr(profile, "_cross_weights", counting)
-        for one_pass in (lambda: _m_sweep(data, state, 0, 1, uncached, 1e-10, 1, 5.0),
+        for one_pass in (lambda: _m_sweep(data, state, 0, 1, uncached),
                          lambda: _m_gradients_all(data, state, 0, uncached)):
             computed.clear()
             one_pass()
