@@ -67,6 +67,7 @@ from .profile import (
     fit_semiparametric,
     predict_probabilities,
     predict_surface,
+    profile_loglik,
     profile_scores,
 )
 from .synthesis import DGPSpec, evaluate_smooth, simulate, true_probabilities
@@ -84,9 +85,9 @@ __all__ = [
     "local_m_update", "local_smoothed_score", "log_likelihood_contribution",
     "m_gradient", "nonreference_categories", "oracle_local_solve",
     "oracle_mle", "predict_probabilities", "predict_surface",
-    "profile_scores", "regularized_gamma_p", "score_and_curvature",
-    "simulate", "small_hsiao", "softmax_probabilities", "standard_errors",
-    "true_probabilities",
+    "profile_loglik", "profile_scores", "regularized_gamma_p",
+    "score_and_curvature", "simulate", "small_hsiao",
+    "softmax_probabilities", "standard_errors", "true_probabilities",
     "SemilogitError", "ConfigError", "DegenerateCovariateError",
     "EmptyDatasetError", "InsufficientDataError", "InvalidPredictorError",
     "NoLocalDataError", "NonIdentifiedError", "NumericalFailureError",

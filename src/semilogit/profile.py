@@ -13,9 +13,12 @@ implicitly, giving J_s = dm_s/dbeta for every category at once; forms the
 exact profile score S = sum_s E_s' (y_s - p_s) and the information
 H = sum_i U_i' (diag p_i - p_i p_i') U_i, where row i of E_s (row s of
 U_i) is d eta_is / d beta = x_i e_s + J_s(t_i); re-solves m at
-beta + lam H^{-1} S from the current curve; and halves lam until the
-profile log-likelihood does not fall.  S is the gradient of the recorded
-trace, so an undamped step below tol is a stationary point of it.
+beta + lam d, d = H^{-1} S, starting from the first-order prediction
+m + lam J d; and halves lam until the profile log-likelihood does not
+fall.  The start and the solve are the predictor and the corrector of a
+continuation step along the curve (Allgower & Georg 1990).  S is the
+gradient of the recorded trace, so an undamped step below tol is a
+stationary point of it.
 
 The implicit-function equations: with category k's slot set to mu_i, the
 other categories' probabilities are p_js = (1 - p_jk) pi_js, where
@@ -109,15 +112,18 @@ _CACHE_LIMIT = 6000
 # Cap on passes per curve or Jacobian solve and on steps per query point.
 _BURNIN_SWEEPS = 200
 # Residual differences kept by the Anderson-mixed curve and Jacobian
-# solves.  _m_sweep + _m_gradients_all calls per fit at n=800
-# (sine/linear DGP of perfbench's k3-curve): K=3 at kernel scale 0.5 on
-# DGP seeds 1, 3, 5; K=3 at scale 0.2 and K=4 at scale 0.5 on seed 1:
-#     plain passes   132+134 / 100+120 / 206+152   148+166   237+309
-#     depth 1         88+92  /  74+84  / 100+108   106+114   135+189
-#     depth 2         64+72  /  64+72  /  70+84     86+98    117+150
-#     depth 3         60+66  /  62+64  /  70+76     80+90    120+135
-#     depth 5         60+62  /  62+64  /  70+74     78+84    111+123
-# Deeper histories stop paying after 3; K=2 fits (13 + 5) never mix.
+# solves.  _m_sweep + _m_gradients_all calls per fit at n=800, with the
+# trial solves started at the first-order prediction: K=3 at kernel
+# scale 0.5 on DGP seeds 1, 3, 5 and at scale 0.2 on seed 1 (sine/linear
+# DGP of perfbench's k3-curve); K=4 at scale 0.5 (sine_dgp(4, 800, 1) of
+# tests/conftest.py):
+#     plain passes    66+130 /  62+120 /  64+132    88+166   126+309
+#     depth 1         48+84  /  46+84  /  44+90     64+114    78+189
+#     depth 2         42+72  /  40+72  /  38+74     54+98     75+150
+#     depth 3         40+66  /  40+64  /  40+66     52+90     75+135
+#     depth 5         40+62  /  40+64  /  40+64     50+84     69+123
+# Deeper histories pay little after 3; K=2 fits (9 + 5 on seed 1) never
+# mix.
 _ANDERSON_DEPTH = 3
 # Max-norm change of dm/dbeta at which the Jacobian solve stops.  J is of
 # the order of x, so the score it feeds is exact to about 1e-10 per
@@ -634,30 +640,10 @@ def starting_state(data: Dataset, reference: int) -> SmoothState:
     return SmoothState(beta0, m0, reference)
 
 
-def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
-                       reference: int | None = None, tol: float = 1e-6,
-                       max_iter: int = 200,
-                       start: SmoothState | None = None) -> SemiparametricFitResult:
-    """Profile-Newton fit of the semiparametric MNL.
-
-    Solves m onto the least favourable curve of the starting coefficients,
-    then repeats one step: the joint Newton direction d = H^{-1} S on the
-    exact profile score, m re-solved at beta + lam d from the current
-    curve, lam halved until the profile log-likelihood falls by no more
-    than 1e-9, and the step accepted.  ``converged`` means that an
-    undamped step moved (beta, m) by less than ``tol`` in max-norm.
-    ``loglik_trace`` records the profile log-likelihood after the first
-    solve and after every step; it never decreases, and its gradient in
-    beta is the score the loop drives to zero.  With ``max_iter=0`` the
-    fit stops after the first solve, so ``loglik`` is the profile
-    log-likelihood at the starting coefficients.  ``start`` replaces the
-    parametric start, and its reference is the fit's.  Local steps are
-    clipped at ``STEP_CAP``, with at most ``_BURNIN_SWEEPS`` passes per solve.
-
-    ``beta_se`` comes from the full (K-1) p profile information H.  A fit
-    in which some curve or Jacobian solve stopped at its pass cap carries
-    a warning, since the trace entry or score it fed is then inexact.
-    """
+def _initial_state(data: Dataset, kernel: KernelConfig, reference, start):
+    """Check the inputs of a fit and return ``(state, reference, cats)``:
+    ``start`` (copied) or the parametric start, the fit's reference and its
+    non-reference categories."""
     K = data.n_categories
     if start is not None:
         if reference not in (None, start.reference):
@@ -673,51 +659,108 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
         raise ConfigError("semiparametric fit needs at least one smooth covariate")
     if kernel.q != data.q:
         raise ShapeError(f"kernel has {kernel.q} bandwidths, data has q={data.q}")
-    cats = nonreference_categories(K, reference)
-
     state = starting_state(data, reference) if start is None else start.copy()
-    wcache = _WeightCache(kernel, data.t)
-    warnings: list = []
-    resolve_tol = min(tol, 1e-9)
-    worst_cap_fraction = 0.0
-    capped = []        # last max change of every solve stopped at its cap
+    return state, reference, nonreference_categories(K, reference)
 
-    def resolve(st):
-        nonlocal worst_cap_fraction
-        cap, done, change = _resolve_all_m(data, st, cats, wcache, resolve_tol)
-        worst_cap_fraction = max(worst_cap_fraction, cap)
-        if not done:
-            capped.append(change)
-        return _joint_loglik(data, st.beta, st.m, reference)
 
-    def jacobian(J):
-        J, done, change = _profile_jacobian(data, state, wcache, J)
+class _Solves:
+    """The curve and Jacobian solves of one fit over one weight cache,
+    with the record its warnings read: the worst step-cap share and the
+    last max change of every solve stopped at its pass cap."""
+
+    def __init__(self, data, kernel, cats, tol):
+        self.data, self.cats = data, cats
+        self.wcache = _WeightCache(kernel, data.t)
+        # the curve precision of every trace point, the burn-in's included:
+        # a sloppier start would register the remaining polish as a dip
+        self.tol = min(tol, 1e-9)
+        self.worst_cap_fraction = 0.0
+        self.capped = []
+
+    def curve(self, state):
+        """Solve ``state.m`` onto the least favourable curve of
+        ``state.beta``, from ``state.m``; returns the profile
+        log-likelihood there."""
+        cap, done, change = _resolve_all_m(self.data, state, self.cats,
+                                           self.wcache, self.tol)
+        self.worst_cap_fraction = max(self.worst_cap_fraction, cap)
         if not done:
-            capped.append(change)
+            self.capped.append(change)
+        return _joint_loglik(self.data, state.beta, state.m, state.reference)
+
+    def jacobian(self, state, J):
+        """dm/dbeta at ``state``, warm-started from ``J``."""
+        J, done, change = _profile_jacobian(self.data, state, self.wcache, J)
+        if not done:
+            self.capped.append(change)
         return J
+
+
+def profile_loglik(data: Dataset, kernel: KernelConfig, beta,
+                   start: SmoothState, *, tol: float = 1e-6) -> float:
+    """Profile log-likelihood at ``beta``: the joint log-likelihood with m
+    solved onto the least favourable curve of ``beta`` from ``start.m``
+    (``start.beta`` is not read).
+
+    This is the first trace point of :func:`fit_semiparametric` started at
+    ``SmoothState(beta, start.m, start.reference)`` with the same ``tol``,
+    bit for bit, without the fit's Jacobian solve for ``beta_se``.
+    """
+    state, _, cats = _initial_state(
+        data, kernel, None, SmoothState(beta, start.m, start.reference))
+    return _Solves(data, kernel, cats, tol).curve(state)
+
+
+def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
+                       reference: int | None = None, tol: float = 1e-6,
+                       max_iter: int = 200,
+                       start: SmoothState | None = None) -> SemiparametricFitResult:
+    """Profile-Newton fit of the semiparametric MNL.
+
+    Solves m onto the least favourable curve of the starting coefficients,
+    then repeats one step: the joint Newton direction d = H^{-1} S on the
+    exact profile score, m re-solved at beta + lam d from the first-order
+    prediction m + lam J d, lam halved until the profile log-likelihood
+    falls by no more than 1e-9, and the step accepted.  ``converged`` means
+    that an undamped step moved (beta, m) by less than ``tol`` in max-norm.
+    ``loglik_trace`` records the profile log-likelihood after the first
+    solve and after every step; it never decreases, and its gradient in
+    beta is the score the loop drives to zero.  With ``max_iter=0`` the
+    fit stops after the first solve, so ``loglik`` is the profile
+    log-likelihood at the starting coefficients (:func:`profile_loglik`
+    computes it alone).  ``start`` replaces the parametric start, and its
+    reference is the fit's.  Local steps are clipped at ``STEP_CAP``, with
+    at most ``_BURNIN_SWEEPS`` passes per solve.
+
+    ``beta_se`` comes from the full (K-1) p profile information H.  A fit
+    in which some curve or Jacobian solve stopped at its pass cap carries
+    a warning, since the trace entry or score it fed is then inexact.
+    """
+    state, reference, cats = _initial_state(data, kernel, reference, start)
+    solves = _Solves(data, kernel, cats, tol)
+    warnings: list = []
 
     # Solve the local problems at the starting coefficients first, so the
     # recorded trace is a profile-likelihood trace: every entry has m on
     # (or near) the least favourable curve of the current coefficients.
     # Without this, starting values with a linear t-part would force the
     # joint likelihood downhill before the profile iteration can begin.
-    # The burn-in uses the same curve precision as later trace points;
-    # a sloppier start would register the remaining polish as a dip.
-    ll = resolve(state)
+    ll = solves.curve(state)
     trace = [ll]
     converged = False
     iterations = 0
     J = None
     for iterations in range(1, max_iter + 1):
-        J = jacobian(J)
+        J = solves.jacobian(state, J)
         step = _newton_step(*_score_information(data, state, J))
+        m_dir = J @ step          # dm along the step: the predictor
         step = step.reshape(state.beta.shape)
         beta_prev, m_prev = state.beta, state.m
         lam = 1.0
         for _ in range(61):
             state.beta = beta_prev + lam * step
-            state.m = m_prev.copy()
-            ll_new = resolve(state)
+            state.m = m_prev + lam * m_dir
+            ll_new = solves.curve(state)
             if ll_new >= ll - 1e-9:
                 break
             lam *= 0.5
@@ -734,18 +777,19 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
             converged = True
             break
 
-    J = jacobian(J)
+    J = solves.jacobian(state, J)
     _, info = _score_information(data, state, J)
     if not converged:
         warnings.append(f"no convergence after {iterations} iterations")
-    if capped:
+    if solves.capped:
         warnings.append(
             f"least-favourable curve re-solve stopped at {_BURNIN_SWEEPS} "
-            f"sweeps in {len(capped)} solve(s) (max change {max(capped):.1e})")
-    if worst_cap_fraction > 0.10:
+            f"sweeps in {len(solves.capped)} solve(s) "
+            f"(max change {max(solves.capped):.1e})")
+    if solves.worst_cap_fraction > 0.10:
         warnings.append(
             "ill-conditioned local likelihoods: step cap hit at "
-            f"{worst_cap_fraction:.1%} of points in some sweep")
+            f"{solves.worst_cap_fraction:.1%} of points in some sweep")
 
     return SemiparametricFitResult(
         beta=state.beta.copy(), beta_se=_standard_errors(info, state.beta.shape),

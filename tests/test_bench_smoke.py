@@ -14,3 +14,6 @@ def test_perfbench_quick_run_is_correct():
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
+    # ``correct`` forgives the failures the harness lists as a known fault;
+    # that fault is mended, so no check may fail
+    assert result["failed"] == 0, proc.stdout[-2000:]

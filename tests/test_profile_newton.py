@@ -9,18 +9,11 @@ from semilogit import (
     bandwidth_from_scale,
     fit_parametric,
     fit_semiparametric,
+    profile_loglik,
     profile_scores,
 )
 from semilogit import profile
 from conftest import sine_dgp
-
-
-def profile_loglik(data, kernel, beta, m):
-    """The recorded profile log-likelihood at beta: the curve is solved
-    from m and no step is taken."""
-    start = SmoothState(beta, m, data.n_categories)
-    return fit_semiparametric(data, kernel, start=start, max_iter=0,
-                              tol=1e-12).loglik
 
 
 @pytest.fixture
@@ -69,8 +62,9 @@ class TestExactProfileScore:
             up, down = beta.copy(), beta.copy()
             up[idx] += h
             down[idx] -= h
-            fd[idx] = (profile_loglik(data, kernel, up, state.m)
-                       - profile_loglik(data, kernel, down, state.m)) / (2 * h)
+            fd[idx] = (profile_loglik(data, kernel, up, state, tol=1e-12)
+                       - profile_loglik(data, kernel, down, state, tol=1e-12)
+                       ) / (2 * h)
         assert np.abs(score).min() > 1.0
         np.testing.assert_allclose(score, fd, rtol=0, atol=1e-6)
 
@@ -103,3 +97,41 @@ class TestLoopContract:
         assert len(recorder["steps"]) == fit.iterations
         # one pass per direction plus one for the standard errors
         assert recorder["passes"] == fit.iterations + 1
+
+    @pytest.mark.parametrize("K, n, seed", [(3, 300, 4), (2, 400, 3)])
+    def test_trial_solves_start_at_the_first_order_prediction(
+            self, monkeypatch, K, n, seed):
+        solves = []        # (start, result) of every curve solve
+        resolve = profile._resolve_all_m
+
+        def recorded(data, state, *args, **kwargs):
+            start = state.m.copy()
+            out = resolve(data, state, *args, **kwargs)
+            solves.append((start, state.m.copy()))
+            return out
+
+        monkeypatch.setattr(profile, "_resolve_all_m", recorded)
+        data = sine_dgp(K, n, seed)
+        fit = fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5))
+        assert fit.converged
+        # no halvings: one trial per step, each from the last solved curve
+        assert len(solves) == fit.iterations + 1
+        for (_, m_prev), (start, solved) in zip(solves, solves[1:]):
+            moved = np.abs(m_prev - solved).max()
+            assert np.abs(start - solved).max() <= max(0.1 * moved, 1e-8)
+
+
+class TestProfileLoglik:
+    @pytest.mark.parametrize("K, tol", [(2, 1e-6), (3, 1e-6), (3, 1e-12)])
+    def test_is_the_first_trace_point_without_a_jacobian(self, recorder, K, tol):
+        data = sine_dgp(K, 300, seed=4)
+        kernel = bandwidth_from_scale(data.t, 0.5)
+        start = profile.starting_state(data, 1)
+        beta = start.beta + 0.2
+        m_start = start.m.copy()
+        ll = profile_loglik(data, kernel, beta, start, tol=tol)
+        assert recorder["passes"] == 0
+        assert np.array_equal(start.m, m_start)
+        fit = fit_semiparametric(data, kernel, tol=tol, max_iter=0,
+                                 start=SmoothState(beta, start.m, 1))
+        assert ll == fit.loglik
