@@ -60,10 +60,26 @@ c' = e^{g_I} e^{mu_j} and sums down its columns, so no transpose is
 formed.  Blocks hold at most ``_BLOCK_DOUBLES`` doubles, and so do the
 temporaries.  Query points against observation points are not symmetric:
 the surface solve runs plain row blocks through the same logistic.
+
+Every pass uses every core the process may run on.  The blocks are cut
+into ``_CHUNKS`` contiguous runs of about equal weight count, and the
+calling thread and a module-level pool of one thread per further core
+take the chunks in turn (numpy drops the GIL in its ufuncs, einsum and
+``np.dot``).  Each chunk adds into its own partial sums, and the
+partials are added up in chunk order.  The cut depends only on n and
+``_BLOCK_DOUBLES``, so the sums do not depend on the number of cores or
+on how the threads are scheduled; on one core, or for a triangle of one
+block, the same chunks run in the calling thread.  The cache fill and
+the query-point blocks of the surface solve stand alone per block and
+run on the same threads.  There is no option: every core is used.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,20 +105,23 @@ from .exceptions import (
 from .kernels import KernelConfig, kernel_weights  # noqa: F401
 from .parametric import fit_parametric
 
-# Doubles per temporary block of the O(n^2) passes (512 kB): a weight
-# block and the two logistic buffers then stay in one core's L2 cache.
-# perfbench medians of fit_s on k2-cached (n=5000) and k2-uncached
-# (n=6100), two runs each, 2-vCPU Xeon with 2 MB L2 per core, one BLAS
-# thread:
-#        32 768   1.90-1.94 s   4.40-4.45 s
-#        65 536   1.87-1.89 s   3.96-4.24 s
-#       262 144   2.49-2.54 s   5.18-6.13 s
-#     1 000 000   2.56-2.61 s   5.03-5.78 s
-# The same order holds for surface points per second and for k3-curve
-# and cli-pipeline; peak RSS grows with the block (296 -> 325 MB on
-# k2-cached).  These were measured with full-row blocks; the triangular
-# blocks keep the same working set (one block and two logistic buffers).
+# Doubles per temporary block of the O(n^2) passes (512 kB), and chunks of
+# blocks per pass.  A weight block and the two logistic buffers stay in
+# one core's L2 cache; smaller blocks make more numpy calls, and each
+# call makes a thread wait for the interpreter lock once more.  perfbench
+# medians of fit_s (two runs each; peak RSS in MB) on k2-cached (n=5000)
+# and k2-uncached (n=6100), triangular blocks on two threads, 2-vCPU
+# Xeon with 2 MB L2 per core, one BLAS thread:
+#     block     chunks   k2-cached        k2-uncached
+#      32 768   2 / 4 / 8   1.85 1.84 1.68   3.19 3.11 3.13   (202, 106)
+#      65 536   2 / 4 / 8   1.54 1.52 1.41   2.47 2.40 2.22   (205, 108-109)
+#     131 072   2 / 4 / 8   1.52 1.42 1.37   2.20 2.35 2.18   (209-210, 112-113)
+#     262 144   2 / 4 / 8   1.82 1.57 1.59   2.48 2.57 2.46   (219-221, 120-122)
+# 131 072 is as fast as 65 536 but costs 4 MB more peak RSS.  More chunks
+# than threads let a thread that finishes early take over more of the
+# pass.
 _BLOCK_DOUBLES = 65_536
+_CHUNKS = 8
 # The packed weight triangle is cached up to this n (about 144 MB at
 # n=6000).  This is a memory budget, not a speed choice: caching always
 # pays.  The threshold stays in n rather than bytes so that perfbench's
@@ -184,6 +203,105 @@ class SemiparametricFitResult:
     options: dict = field(default_factory=dict)
 
 
+_buffers = threading.local()  # per-thread scratch blocks; see _scratch
+# The helper threads, made on first use.  A forked child has none of its
+# parent's threads, so the fork hook forgets the pool.  The hook is the
+# dict's own method: a module function would keep every re-imported copy
+# of this module alive.
+_pool: dict = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.clear)
+
+
+def _worker_count() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:    # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+def _helpers():
+    """(executor, threads): the pool of one thread per core beyond the
+    caller's; (None, 0) on one core."""
+    if "helpers" not in _pool:
+        count = _worker_count() - 1
+        # a racing caller's spare executor is dropped before it starts a thread
+        _pool.setdefault("helpers", (ThreadPoolExecutor(count, "semilogit")
+                                     if count else None, count))
+    return _pool["helpers"]
+
+
+def _map(fn, items) -> list:
+    """``[fn(item) for item in items]`` on every core.
+
+    The calling thread and the pool's threads take the items in order,
+    one at a time, until none is left; with one item or one core the
+    caller runs them all.  The results come back in item order.  After an
+    exception no further item is taken, and the one raised is that of the
+    first failing item in order: every item before it was taken earlier
+    and has finished.
+    """
+    items = list(items)
+    pool, threads = _helpers() if len(items) > 1 else (None, 0)
+    if not threads:
+        return [fn(item) for item in items]
+    results, errors = [None] * len(items), {}
+    order, lock = iter(range(len(items))), threading.Lock()
+
+    def take():
+        with lock:
+            return next(order, None)
+
+    def stop():
+        with lock:
+            for _ in order:
+                pass
+
+    def drain():
+        while (i := take()) is not None:
+            try:
+                results[i] = fn(items[i])
+            except Exception as err:
+                errors[i] = err
+                stop()
+
+    started = [pool.submit(drain) for _ in range(threads)]
+    try:
+        drain()
+    finally:
+        stop()                    # an interrupted caller stops the helpers too
+        for future in started:
+            if not future.cancel():   # one that never started is not waited for
+                future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _scratch(name: str, shape, count: int = 1) -> list:
+    """``count`` arrays of ``shape`` in this thread's reused buffer
+    ``name``, overwritten by the next call.  Each thread allocates its
+    buffer once, with room for the largest block, and grows it only for a
+    larger one."""
+    size = math.prod(shape)
+    buf = getattr(_buffers, name, None)
+    if buf is None or buf.size < count * size:
+        buf = np.empty(count * max(size, _BLOCK_DOUBLES))
+        setattr(_buffers, name, buf)
+    return [buf[i * size:(i + 1) * size].reshape(shape) for i in range(count)]
+
+
+def _balanced_cuts(sizes, count: int) -> list:
+    """(a, b) index ranges cutting ``sizes`` into at most ``count``
+    contiguous runs of about equal sum."""
+    ends = np.cumsum(sizes)
+    targets = ends[-1] * np.arange(1, count) / count
+    cuts = np.unique(np.searchsorted(ends, targets, side="right"))
+    bounds = [0] + [int(c) for c in cuts if 0 < c < len(sizes)] + [len(sizes)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _block_rows(n: int) -> int:
     """Rows of an (., n) block that fit in ``_BLOCK_DOUBLES``."""
     return max(1, _BLOCK_DOUBLES // max(n, 1))
@@ -221,7 +339,7 @@ def _cross_weights(kernel: KernelConfig, Tq: np.ndarray, T: np.ndarray,
     scale = 1.0 / (np.sqrt(2.0) * kernel.bandwidths)
     Aq, A = Tq * scale, T * scale
     for d in range(A.shape[1]):
-        z = out if d == 0 else np.empty_like(out)
+        z = out if d == 0 else _scratch("distance", out.shape)[0]
         np.subtract.outer(Aq[:, d], A[:, d], out=z)
         z *= z
         if d:
@@ -236,10 +354,11 @@ class _WeightCache:
 
     Row block I = [start, stop) of :func:`_triangle_blocks` keeps only
     W[I, start:], its diagonal block and everything right of it: about
-    n^2 / 2 doubles in all.  Up to ``_CACHE_LIMIT`` points the blocks are
-    computed once into the packed array ``packed``; above it ``packed`` is
-    one reused block buffer, and each block is recomputed into it,
-    overwriting the one before.
+    n^2 / 2 doubles in all.  ``chunks`` cuts ``layout`` into the
+    contiguous runs of blocks that the passes spread over the cores.  Up
+    to ``_CACHE_LIMIT`` points the blocks are computed once into the
+    packed array ``packed``; above it each block is recomputed into the
+    calling thread's scratch block, overwriting the one before.
     """
 
     def __init__(self, kernel: KernelConfig, T: np.ndarray):
@@ -248,30 +367,35 @@ class _WeightCache:
         n = T.shape[0]
         self.layout = list(_triangle_blocks(n))
         sizes = [(stop - start) * (n - start) for start, stop in self.layout]
+        self.chunks = [self.layout[a:b] for a, b in _balanced_cuts(sizes, _CHUNKS)]
         self.cached = n <= _CACHE_LIMIT
         if self.cached:
-            self.offsets = np.cumsum([0] + sizes[:-1])
             self.packed = np.empty(sum(sizes))
-            for start, stop, W in self._views():
-                self._fill(start, stop, W)
-        else:
-            self.offsets = [0] * len(sizes)
-            self.packed = np.empty(max(sizes))
+            self._views, offset = {}, 0
+            for (start, stop), size in zip(self.layout, sizes):
+                self._views[start] = self.packed[offset:offset + size].reshape(
+                    stop - start, n - start)
+                offset += size
 
-    def _views(self):
-        n = self.T.shape[0]
-        for (start, stop), offset in zip(self.layout, self.offsets):
-            size = (stop - start) * (n - start)
-            W = self.packed[offset:offset + size]
-            yield start, stop, W.reshape(stop - start, n - start)
+            def fill(chunk):
+                for start, stop in chunk:
+                    self._fill(start, stop, self._views[start])
+
+            _map(fill, self.chunks)
 
     def _fill(self, start, stop, W):
         return _cross_weights(self.kernel, self.T[start:stop], self.T[start:], out=W)
 
-    def blocks(self):
-        """(start, stop, W[start:stop, start:]) for every row block."""
-        for start, stop, W in self._views():
-            yield start, stop, W if self.cached else self._fill(start, stop, W)
+    def blocks(self, chunk=None):
+        """(start, stop, W[start:stop, start:]) for every row block of
+        ``chunk`` (default: all of them)."""
+        n = self.T.shape[0]
+        for start, stop in self.layout if chunk is None else chunk:
+            if self.cached:
+                yield start, stop, self._views[start]
+            else:
+                W, = _scratch("weights", (stop - start, n - start))
+                yield start, stop, self._fill(start, stop, W)
 
 
 class _Logistic:
@@ -279,8 +403,9 @@ class _Logistic:
 
     e^g is formed once and e^mu once per call or pass, so a block costs no
     exponential of its own (see the module docstring), unless |g| + |mu|
-    could overflow exp.  Results live in two reused block buffers,
-    overwritten by the next call.
+    could overflow exp.  Results live in the calling thread's two scratch
+    blocks, overwritten by its next call, so one instance serves every
+    thread of a pass.
     """
 
     def __init__(self, g: np.ndarray):
@@ -288,7 +413,6 @@ class _Logistic:
         self.headroom = _EXP_SAFE - float(np.abs(g).max())
         self.eg = np.exp(g) if self.headroom > 0.0 else None
         self.ones = np.ones(g.shape[0])   # row sums as BLAS products
-        self._buf = np.empty(0)
 
     def exp_points(self, mu: np.ndarray):
         """e^mu, or None when some e^g e^mu could overflow."""
@@ -317,12 +441,7 @@ class _Logistic:
     def _fill(self, W, a, ea, b, eb):
         """(W * P, Q) for P_ij = sigmoid(a_i + b_j); exp-free when ea and
         eb hold e^a and e^b."""
-        size = W.size
-        if self._buf.size < 2 * size:
-            # room for the largest block at once: block sizes vary a little
-            self._buf = np.empty(2 * max(size, _BLOCK_DOUBLES))
-        WP = self._buf[:size].reshape(W.shape)
-        Q = self._buf[size:2 * size].reshape(W.shape)
+        WP, Q = _scratch("logistic", W.shape, 2)
         if eb is not None:
             np.multiply.outer(ea, eb, out=WP)
             np.add(WP, 1.0, out=Q)
@@ -336,8 +455,8 @@ class _Logistic:
 
 
 def _row_dots(A, B):
-    """sum_j A_ij B_ij per row, as stacked BLAS dot products."""
-    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+    """sum_j A_ij B_ij per row."""
+    return np.einsum("ij,ij->i", A, B)
 
 
 def _newton_steps(score, info, where):
@@ -350,8 +469,11 @@ def _newton_steps(score, info, where):
 
 def _local_steps(W, yk, logit, mu, where):
     """Local Newton steps of m for the query points mu of W's rows."""
+    # np.dot, not @, here and in the passes: numpy's matmul keeps the
+    # interpreter lock through a single product, and the other threads wait
     WP, Q = logit.weighted(W, mu)
-    return _newton_steps(W @ yk - WP @ logit.ones, _row_dots(WP, Q), where)
+    return _newton_steps(np.dot(W, yk) - np.dot(WP, logit.ones), _row_dots(WP, Q),
+                         where)
 
 
 def _symmetric_sums(wcache, logit, mu, y=None, R=None):
@@ -362,33 +484,40 @@ def _symmetric_sums(wcache, logit, mu, y=None, R=None):
     the columns of an (n, 2) array; for ``R``, sum_j w_ij p_ij (1 - p_ij) R_j,
     shape (n, r).  Each block W[I, s:] serves rows I against columns s:
     (direction 1) and, read down its columns past the diagonal block, rows
-    e: against columns I (direction 2).
+    e: against columns I (direction 2).  Each chunk of ``wcache`` adds into
+    its own partial sums, which are added up in chunk order.
     """
     n = mu.shape[0]
-    sums = np.zeros((n, 2 if R is None else R.shape[1]))
     # e^mu once per pass; when it is unsafe, each block decides alone
     emu = logit.exp_points(mu)
-    for s, e, W in wcache.blocks():
-        WP, Q = logit.weighted(W, mu[s:e], slice(s, None),
-                               None if emu is None else emu[s:e])
-        if R is None:
-            sums[s:e, 0] += W @ y[s:] - WP @ logit.ones[s:]
-            sums[s:e, 1] += _row_dots(WP, Q)
-        else:
-            WP *= Q
-            sums[s:e] += WP @ R[s:]
-        if e == n:
-            continue
-        V = W[:, e - s:]
-        WP, Q = logit.weighted_t(V, slice(s, e), mu[e:],
-                                 None if emu is None else emu[e:])
-        if R is None:
-            sums[e:, 0] += y[s:e] @ V - logit.ones[s:e] @ WP
-            sums[e:, 1] += np.einsum("ij,ij->j", WP, Q)
-        else:
-            WP *= Q
-            sums[e:] += WP.T @ R[s:e]
-    return sums
+    partials = np.zeros((len(wcache.chunks), n, 2 if R is None else R.shape[1]))
+
+    def chunk_sums(c):
+        sums = partials[c]
+        for s, e, W in wcache.blocks(wcache.chunks[c]):
+            WP, Q = logit.weighted(W, mu[s:e], slice(s, None),
+                                   None if emu is None else emu[s:e])
+            if R is None:
+                sums[s:e, 0] += np.dot(W, y[s:]) - np.dot(WP, logit.ones[s:])
+                sums[s:e, 1] += _row_dots(WP, Q)
+            else:
+                WP *= Q
+                sums[s:e] += np.dot(WP, R[s:])
+            if e == n:
+                continue
+            V = W[:, e - s:]
+            WP, Q = logit.weighted_t(V, slice(s, e), mu[e:],
+                                     None if emu is None else emu[e:])
+            if R is None:
+                sums[e:, 0] += np.dot(y[s:e], V) - np.dot(logit.ones[s:e], WP)
+                sums[e:, 1] += np.einsum("ij,ij->j", WP, Q)
+            else:
+                WP *= Q
+                sums[e:] += np.dot(WP.T, R[s:e])
+
+    _map(chunk_sums, range(len(wcache.chunks)))
+    # added in chunk order, whichever thread made each
+    return partials.sum(axis=0)
 
 
 def _fixed_logit_parts(data: Dataset, state: SmoothState, row: int) -> np.ndarray:
@@ -829,7 +958,9 @@ def _solve_m_at_points(data, state, kernel, Tq):
     Each block of query points gets its kernel weights once.  On it every
     category's smooth takes plain :func:`_mixed_passes` of local Newton
     steps clipped at ``STEP_CAP`` from the nearest observation point's
-    value, the curve solve's stop rule with tolerance ``_POINT_TOL``.
+    value, the curve solve's stop rule with tolerance ``_POINT_TOL``.  The
+    blocks stand alone and run on the pool; when several have a point
+    without kernel weight, the first of them raises.
     """
     Tq = np.atleast_2d(np.asarray(Tq, dtype=np.float64))
     if Tq.shape[1] != data.q:
@@ -839,10 +970,15 @@ def _solve_m_at_points(data, state, kernel, Tq):
               for row in range(len(cats))]
     ys = [(data.y == k).astype(np.float64) for k in cats]
     mu = np.empty((len(cats), Tq.shape[0]))
-    for start, stop in _blocks(Tq.shape[0], _block_rows(data.n)):
-        W = _cross_weights(kernel, Tq[start:stop], data.t)
-        if np.any(W.sum(axis=1) == 0.0):
-            raise NoLocalDataError("all kernel weights vanished at a query point")
+
+    def solve_block(bounds):
+        start, stop = bounds
+        W, = _scratch("weights", (stop - start, data.n))
+        _cross_weights(kernel, Tq[start:stop], data.t, out=W)
+        empty = np.flatnonzero(W.sum(axis=1) == 0.0)
+        if empty.size:
+            raise NoLocalDataError("all kernel weights vanished at query point "
+                                   f"{start + int(empty[0])}")
         # seed from the most-weighted (nearest) observation point
         nearest = np.argmax(W, axis=1)
         for row in range(len(cats)):
@@ -853,6 +989,8 @@ def _solve_m_at_points(data, state, kernel, Tq):
             mu[row, start:stop] = _mixed_passes(step, state.m[row][nearest],
                                                 _POINT_TOL, _BURNIN_SWEEPS,
                                                 mix=False)[0]
+
+    _map(solve_block, _blocks(Tq.shape[0], _block_rows(data.n)))
     return mu
 
 

@@ -1,16 +1,24 @@
 """The blocked O(n^2) pass: factored logistic, cross weights, packed
-triangular cache and its two-direction pass, block layout."""
+triangular cache and its two-direction pass, block layout, and the
+chunks and thread pool that spread it over the cores."""
+
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from semilogit import (
     KernelConfig,
+    NoLocalDataError,
     SemilogitError,
     SmoothState,
     bandwidth_from_scale,
+    fit_semiparametric,
     kernel_weights,
     local_smoothed_score,
+    predict_surface,
 )
 from semilogit import profile
 from semilogit.core import sigmoid
@@ -24,7 +32,25 @@ from semilogit.profile import (
     _symmetric_sums,
     _WeightCache,
 )
-from conftest import random_state_dataset
+from conftest import random_state_dataset, sine_dgp
+
+
+def _drop_pool():
+    executor, _ = profile._pool.pop("helpers", (None, 0))
+    if executor is not None:
+        executor.shutdown()
+
+
+@pytest.fixture
+def use_workers(monkeypatch):
+    """``use(count)`` runs the pool as on a machine with ``count`` cores,
+    from a fresh pool; the pool is shut down after the test."""
+    def use(count):
+        _drop_pool()
+        monkeypatch.setattr(profile, "_worker_count", lambda: count)
+
+    yield use
+    _drop_pool()
 
 
 class TestFactoredLogistic:
@@ -130,16 +156,20 @@ class TestSolveAtPoints:
                 assert abs(score / curv) < 1e-9
 
 
-def _ragged_cache(monkeypatch, kern, T, cached):
-    """A weight cache of several row blocks, the last one cut short by n."""
+def _ragged_cache(monkeypatch, kern, T, cached, rows=9):
+    """A weight cache of row blocks of at least ``rows`` rows, the last
+    one cut short by n, in several chunks."""
     n = T.shape[0]
-    monkeypatch.setattr(profile, "_BLOCK_DOUBLES", 9 * n)
+    monkeypatch.setattr(profile, "_BLOCK_DOUBLES", rows * n)
     if not cached:
         monkeypatch.setattr(profile, "_CACHE_LIMIT", 0)
     cache = _WeightCache(kern, T)
     assert cache.cached == cached and len(cache.layout) > 3
     start, stop = cache.layout[-1]
     assert profile._block_rows(n - start) > stop - start
+    # the chunks cut the blocks in order, none empty
+    assert 1 < len(cache.chunks) <= profile._CHUNKS
+    assert [block for chunk in cache.chunks for block in chunk] == cache.layout
     return cache
 
 
@@ -152,19 +182,25 @@ def _dense(kern, data, g, mu):
 @pytest.mark.parametrize("cached", [True, False])
 @pytest.mark.parametrize("K, q", [(2, 1), (2, 2), (3, 1), (3, 2)])
 class TestTriangularPassEqualsDense:
-    """The packed two-direction pass against the full n x n sums."""
+    """The packed two-direction pass against the full n x n sums, over
+    several chunks run on two threads: blocks of 9 or more rows, and blocks
+    of 2 or more rows in chunks of several blocks."""
 
-    def _setup(self, monkeypatch, cached, K, q):
+    @pytest.fixture(autouse=True)
+    def _two_workers(self, use_workers):
+        use_workers(2)
+
+    def _setup(self, monkeypatch, cached, K, q, rows=9):
         data, beta, m = random_state_dataset(10 * K + q, n=60, q=q, K=K)
         state = SmoothState(beta, m, reference=K)
         kern = bandwidth_from_scale(data.t, 0.6)
         row = K - 2
         g = _fixed_logit_parts(data, state, row)
         W, P = _dense(kern, data, g, state.m[row])
-        return data, state, row, _ragged_cache(monkeypatch, kern, data.t, cached), W, P
+        cache = _ragged_cache(monkeypatch, kern, data.t, cached, rows)
+        return data, state, row, cache, W, P
 
-    def test_m_sweep(self, monkeypatch, cached, K, q):
-        data, state, row, cache, W, P = self._setup(monkeypatch, cached, K, q)
+    def _check_sweep(self, data, state, row, cache, W, P):
         k = int(state.categories()[row])
         yk = (data.y == k).astype(np.float64)
         step = (W @ yk - (W * P).sum(axis=1)) / (W * P * (1.0 - P)).sum(axis=1)
@@ -172,14 +208,25 @@ class TestTriangularPassEqualsDense:
         mu, _ = _m_sweep(data, state, row, k, cache)
         np.testing.assert_allclose(mu, expected, rtol=1e-12, atol=1e-12)
 
-    def test_m_gradients_all(self, monkeypatch, cached, K, q):
-        data, state, row, cache, W, P = self._setup(monkeypatch, cached, K, q)
+    def _check_gradients(self, data, state, row, cache, W, P):
         M = W * P * (1.0 - P)
-        rhs = np.random.default_rng(q).normal(size=(data.n, 3))
+        rhs = np.random.default_rng(data.q).normal(size=(data.n, 3))
         for given, expected_num in [(None, -M @ data.x), (rhs, M @ rhs)]:
             expected = expected_num / M.sum(axis=1)[:, None]
             got = _m_gradients_all(data, state, row, cache, given)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_m_sweep(self, monkeypatch, cached, K, q):
+        self._check_sweep(*self._setup(monkeypatch, cached, K, q))
+
+    def test_m_gradients_all(self, monkeypatch, cached, K, q):
+        self._check_gradients(*self._setup(monkeypatch, cached, K, q))
+
+    def test_chunks_of_several_blocks(self, monkeypatch, cached, K, q):
+        parts = self._setup(monkeypatch, cached, K, q, rows=2)
+        assert max(len(chunk) for chunk in parts[3].chunks) > 1
+        self._check_sweep(*parts)
+        self._check_gradients(*parts)
 
 
 class TestDirectionTwoOverflow:
@@ -249,3 +296,82 @@ class TestWorkCount:
             computed.clear()
             one_pass()
             assert n * (n + 1) // 2 <= sum(computed) <= bound
+
+
+class TestChunkedPool:
+    """Results do not depend on the number of cores, errors reach the
+    caller typed, and a forked child runs its own pool."""
+
+    def _pass_fit_surface(self, data, kern, rows_per_block):
+        rng = np.random.default_rng(9)
+        state = SmoothState(0.5 * rng.normal(size=(2, data.p)),
+                            0.3 * rng.normal(size=(2, data.n)), reference=3)
+        cache = _WeightCache(kern, data.t)
+        assert len(cache.chunks) == profile._CHUNKS
+        logit = _Logistic(_fixed_logit_parts(data, state, 0))
+        y = (data.y == 1).astype(np.float64)
+        R = rng.normal(size=(data.n, 3))
+        fit = fit_semiparametric(data, kern)
+        grid = np.linspace(-1.9, 1.9, 7 * rows_per_block + 3)[:, None]
+        return [_symmetric_sums(cache, logit, state.m[0], y=y),
+                _symmetric_sums(cache, logit, state.m[0], R=R),
+                fit.beta, fit.smooth.m, fit.beta_se,
+                predict_surface(fit, data, grid, np.array([0.4]))]
+
+    def test_bit_identical_on_one_two_and_five_workers(self, monkeypatch, use_workers):
+        data = sine_dgp(3, 240, 2)
+        kern = bandwidth_from_scale(data.t, 0.5)
+        rows = 6
+        monkeypatch.setattr(profile, "_BLOCK_DOUBLES", rows * data.n)
+        use_workers(1)
+        serial = self._pass_fit_surface(data, kern, rows)
+        interval = sys.getswitchinterval()
+        try:
+            # threads switch as often as the interpreter allows; five
+            # workers are more than the cores of most test machines
+            sys.setswitchinterval(1e-6)
+            for workers in (2, 5):
+                use_workers(workers)
+                for got, expected in zip(self._pass_fit_surface(data, kern, rows), serial):
+                    np.testing.assert_array_equal(got, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_map_keeps_item_order(self, use_workers):
+        use_workers(3)
+        assert profile._map(lambda i: i * i, range(50)) == [i * i for i in range(50)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_surface_error_is_typed_and_from_the_first_failing_block(
+            self, monkeypatch, use_workers, workers):
+        use_workers(workers)
+        data, beta, m = random_state_dataset(5, n=60, K=3)
+        state = SmoothState(beta, m, reference=3)
+        kern = KernelConfig(bandwidths=[0.05])
+        monkeypatch.setattr(profile, "_BLOCK_DOUBLES", 2 * data.n)
+        Tq = np.linspace(-1.0, 1.0, 40)[:, None]
+        Tq[[7, 8, 31]] = [[1e3], [-1e3], [1e3]]   # blocks 3, 4 and 15 fail
+        with pytest.raises(NoLocalDataError, match="at query point 7$"):
+            _solve_m_at_points(data, state, kern, Tq)
+
+    def test_forked_child_runs_its_own_pool(self, use_workers):
+        use_workers(2)
+        data = sine_dgp(2, 400, 3)
+        kern = bandwidth_from_scale(data.t, 0.5)
+        fit_semiparametric(data, kern)            # the pool threads now exist
+        assert "helpers" in profile._pool
+
+        def child():
+            assert "helpers" not in profile._pool     # dropped at the fork
+            result = fit_semiparametric(data, kern)
+            assert np.all(np.isfinite(result.beta))
+            assert threading.active_count() > 1       # a pool thread of its own
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=120)
+        if process.is_alive():
+            process.kill()
+            process.join()
+            pytest.fail("the forked child's fit did not finish")
+        assert process.exitcode == 0
