@@ -232,21 +232,23 @@ def _helpers():
     return _pool["helpers"]
 
 
-def _map(fn, items) -> list:
-    """``[fn(item) for item in items]`` on every core.
+def _for_each(fn, items):
+    """Call ``fn(item)`` for every item, on every core.
 
     The calling thread and the pool's threads take the items in order,
     one at a time, until none is left; with one item or one core the
-    caller runs them all.  The results come back in item order.  After an
-    exception no further item is taken, and the one raised is that of the
-    first failing item in order: every item before it was taken earlier
-    and has finished.
+    caller runs them all.  Callers write their results into slots of
+    their own.  After an exception no further item is taken, and the one
+    raised is that of the first failing item in order: every item before
+    it was taken earlier and has finished.
     """
     items = list(items)
     pool, threads = _helpers() if len(items) > 1 else (None, 0)
     if not threads:
-        return [fn(item) for item in items]
-    results, errors = [None] * len(items), {}
+        for item in items:
+            fn(item)
+        return
+    errors = {}
     order, lock = iter(range(len(items))), threading.Lock()
 
     def take():
@@ -261,7 +263,7 @@ def _map(fn, items) -> list:
     def drain():
         while (i := take()) is not None:
             try:
-                results[i] = fn(items[i])
+                fn(items[i])
             except Exception as err:
                 errors[i] = err
                 stop()
@@ -276,7 +278,6 @@ def _map(fn, items) -> list:
                 future.result()
     if errors:
         raise errors[min(errors)]
-    return results
 
 
 def _scratch(name: str, shape, count: int = 1) -> list:
@@ -381,7 +382,7 @@ class _WeightCache:
                 for start, stop in chunk:
                     self._fill(start, stop, self._views[start])
 
-            _map(fill, self.chunks)
+            _for_each(fill, self.chunks)
 
     def _fill(self, start, stop, W):
         return _cross_weights(self.kernel, self.T[start:stop], self.T[start:], out=W)
@@ -515,7 +516,7 @@ def _symmetric_sums(wcache, logit, mu, y=None, R=None):
                 WP *= Q
                 sums[e:] += np.dot(WP.T, R[s:e])
 
-    _map(chunk_sums, range(len(wcache.chunks)))
+    _for_each(chunk_sums, range(len(wcache.chunks)))
     # added in chunk order, whichever thread made each
     return partials.sum(axis=0)
 
@@ -990,7 +991,7 @@ def _solve_m_at_points(data, state, kernel, Tq):
                                                 _POINT_TOL, _BURNIN_SWEEPS,
                                                 mix=False)[0]
 
-    _map(solve_block, _blocks(Tq.shape[0], _block_rows(data.n)))
+    _for_each(solve_block, _blocks(Tq.shape[0], _block_rows(data.n)))
     return mu
 
 
