@@ -109,14 +109,14 @@ from .parametric import fit_parametric
 # blocks per pass.  A weight block and the two logistic buffers stay in
 # one core's L2 cache; smaller blocks make more numpy calls, and each
 # call makes a thread wait for the interpreter lock once more.  perfbench
-# medians of fit_s (two runs each; peak RSS in MB) on k2-cached (n=5000)
-# and k2-uncached (n=6100), triangular blocks on two threads, 2-vCPU
-# Xeon with 2 MB L2 per core, one BLAS thread:
-#     block     chunks   k2-cached        k2-uncached
-#      32 768   2 / 4 / 8   1.85 1.84 1.68   3.19 3.11 3.13   (202, 106)
-#      65 536   2 / 4 / 8   1.54 1.52 1.41   2.47 2.40 2.22   (205, 108-109)
-#     131 072   2 / 4 / 8   1.52 1.42 1.37   2.20 2.35 2.18   (209-210, 112-113)
-#     262 144   2 / 4 / 8   1.82 1.57 1.59   2.48 2.57 2.46   (219-221, 120-122)
+# medians of fit_s in s (two runs each) and peak RSS in MB on k2-cached
+# (n=5000) and k2-uncached (n=6100), triangular blocks on two threads,
+# 2-vCPU Xeon with 2 MB L2 per core, one BLAS thread:
+#       block   chunks 2 / 4 / 8:  k2-cached        k2-uncached      RSS
+#      32 768                      1.85 1.84 1.68   3.19 3.11 3.13   202, 106
+#      65 536                      1.54 1.52 1.41   2.47 2.40 2.22   205, 108-109
+#     131 072                      1.52 1.42 1.37   2.20 2.35 2.18   209-210, 112-113
+#     262 144                      1.82 1.57 1.59   2.48 2.57 2.46   219-221, 120-122
 # 131 072 is as fast as 65 536 but costs 4 MB more peak RSS.  More chunks
 # than threads let a thread that finishes early take over more of the
 # pass.
