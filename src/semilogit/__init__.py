@@ -63,7 +63,6 @@ from .parametric import (
 from .profile import (
     SemiparametricFitResult,
     SmoothState,
-    beta_update,
     fit_semiparametric,
     predict_probabilities,
     predict_surface,
@@ -77,7 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "DGPSpec", "IIATestResult", "KernelConfig",
     "ParametricFitResult", "SemiparametricFitResult", "SmoothState",
-    "bandwidth_from_scale", "bandwidth_grid", "beta_update",
+    "bandwidth_from_scale", "bandwidth_grid",
     "chi_square_upper_tail", "dataset_log_likelihood", "evaluate_smooth",
     "fit_parametric", "fit_semiparametric", "fitted_probabilities",
     "golden_section", "hausman_mcfadden", "iia_all_permutations",

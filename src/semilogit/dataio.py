@@ -37,6 +37,14 @@ def fmt(v) -> str:
     return format(float(v), ".17g")
 
 
+def _number(value, what: str, kind=float):
+    """``kind(value)``; a ConfigError naming ``what`` when that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
 # --------------------------------------------------------------------------
 # configuration
 # --------------------------------------------------------------------------
@@ -56,7 +64,7 @@ class ColumnSpec:
                 raise ConfigError(f"unknown transform {kind!r} on {self.name!r}")
             if kind == "divide-by":
                 by = tr.get("by")
-                if not by or not math.isfinite(by):
+                if not isinstance(by, (int, float)) or not by or not math.isfinite(by):
                     raise ConfigError(f"divide-by needs a nonzero 'by' on {self.name!r}")
 
 
@@ -101,27 +109,38 @@ class RunConfig:
                     transforms = [transforms]
             cols.append(ColumnSpec(name=name, role=role, transforms=transforms))
         kernel = d.get("kernel", {})
+        fit = dict(d.get("fit", {}))
+        for key, kind in (("tol", float), ("max_iter", int)):
+            if key in fit:
+                fit[key] = _number(fit[key], f"fit.{key}", kind)
         return cls(
             columns=cols,
             input_path=d.get("input"),
             simulate=d.get("simulate"),
             model=d.get("model", "parametric"),
-            kernel_scale=kernel.get("scale", 0.5),
+            kernel_scale=_number(kernel.get("scale", 0.5), "kernel.scale"),
             bandwidths=kernel.get("bandwidths"),
-            fit_options=d.get("fit", {}),
+            fit_options=fit,
             reference=d.get("reference"),
-            seed=int(d.get("seed", 0)),
+            seed=_number(d.get("seed", 0), "seed", int),
             out=d.get("out", "run-output"),
             surface=d.get("surface"),
             iia=d.get("iia"),
-            impute=d.get("impute", {}),
+            impute={name: _number(v, f"impute.{name}")
+                    for name, v in d.get("impute", {}).items()},
             grid=d.get("grid"),
         )
 
     @classmethod
     def load(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except ValueError as err:     # JSONDecodeError or UnicodeDecodeError
+                raise ConfigError(f"{path} is not valid JSON: {err}") from None
+        if not isinstance(d, dict):
+            raise ConfigError(f"{path} must hold a JSON object")
+        return cls.from_dict(d)
 
     def parametric_names(self) -> list:
         return [c.name for c in self.columns if c.role == "parametric"]

@@ -19,17 +19,14 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Kernel family plus per-dimension bandwidths (diagonal H)."""
+    """Per-dimension bandwidths (diagonal H) of the Gaussian product kernel."""
 
     bandwidths: np.ndarray
-    family: str = "gaussian"
     scale: float | None = None  # recorded when built from covariate sd
 
     def __post_init__(self):
         h = np.atleast_1d(np.asarray(self.bandwidths, dtype=np.float64))
         object.__setattr__(self, "bandwidths", h)
-        if self.family != "gaussian":
-            raise ConfigError(f"unsupported kernel family {self.family!r}")
         if h.ndim != 1 or h.size == 0:
             raise ConfigError("bandwidths must be a non-empty vector")
         if not np.all(np.isfinite(h)) or np.any(h <= 0):

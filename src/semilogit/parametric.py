@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, dataset_log_likelihood, nonreference_categories
+from .core import Dataset, dataset_log_likelihood, nonreference_categories, softmax_probabilities
 from .exceptions import (
     InsufficientDataError,
     NonIdentifiedError,
     NumericalFailureError,
+    ShapeError,
 )
 
 # Accepted steps may lower the log-likelihood by at most this much
@@ -54,7 +55,7 @@ class ParametricFitResult:
         """Coefficient row index for category k."""
         idx = np.flatnonzero(self.categories == k)
         if idx.size == 0:
-            raise KeyError(f"category {k} has no coefficient row")
+            raise ShapeError(f"category {k} has no coefficient row")
         return int(idx[0])
 
 
@@ -77,12 +78,6 @@ def _eta_from_theta(Z, theta, cats, K):
     eta = np.zeros((Z.shape[0], K))
     eta[:, cats - 1] = Z @ theta.T
     return eta
-
-
-def _probabilities(eta):
-    shifted = eta - eta.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=1, keepdims=True)
 
 
 def _loglik_gain(P, delta, y):
@@ -161,7 +156,7 @@ def fit_parametric(data: Dataset, *, reference: int | None = None,
     info = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        P = _probabilities(eta)
+        P = softmax_probabilities(eta)
         g, info = _score_and_information(Z, Y1h, P[:, cats - 1])
         score_max = float(np.abs(g).max())
         if score_max < tol:
@@ -228,7 +223,7 @@ def fitted_probabilities(result: ParametricFitResult, data: Dataset) -> np.ndarr
     Z = design_matrix(data, result.includes_smooth)
     eta = _eta_from_theta(Z, result.coefficients, result.categories,
                           data.n_categories)
-    return _probabilities(eta)
+    return softmax_probabilities(eta)
 
 
 def coefficient_log_likelihood(data: Dataset, coefficients: np.ndarray,

@@ -540,16 +540,16 @@ def _fixed_logit_parts(data: Dataset, state: SmoothState, row: int) -> np.ndarra
     return c - M - np.log(S)
 
 
-def _m_gradients_all(data, state, row, wcache, rhs=None):
+def _m_gradients_all(data, state, row, wcache, rhs):
     """D_k^{-1} M_k rhs at every observation point, in one blocked pass.
 
     M_k = W * P * (1 - P) holds category k's local curvatures and D_k its
-    row sums.  The default ``rhs = -x`` gives dm_k/dbeta_k with the other
-    categories' curves held fixed, shape (n, p); the profile Jacobian
-    passes the full right-hand side of the implicit-function equations.
+    row sums.  ``rhs = -x`` gives dm_k/dbeta_k with the other categories'
+    curves held fixed, shape (n, p); the profile Jacobian passes the full
+    right-hand side of the implicit-function equations.
     """
     logit = _Logistic(_fixed_logit_parts(data, state, row))
-    rhs1 = np.column_stack([-data.x if rhs is None else rhs, logit.ones])
+    rhs1 = np.column_stack([rhs, logit.ones])
     sums = _symmetric_sums(wcache, logit, state.m[row], R=rhs1)
     num, den = sums[:, :-1], sums[:, -1]
     if np.any(den == 0.0):
@@ -576,16 +576,14 @@ def _profile_jacobian(data, state, wcache, J=None):
 
     Solves the implicit-function equations of the module docstring by
     Gauss-Seidel passes over the categories from the warm start ``J``
-    (zeros when None), Anderson-mixed like the curve solve; with one
-    category there is no coupling and the single pass is exact.  Returns
-    ``(J, converged, last max change)``.
+    (zeros when None), Anderson-mixed like the curve solve.  With one
+    category there is no coupling, so the first pass is exact and the
+    solve stops after it.  Returns ``(J, converged, last max change)``.
     """
     n_rows = state.m.shape[0]
     X = _x_blocks(data, n_rows)
     if data.p == 0:
         return X, True, 0.0
-    if n_rows == 1:
-        return _m_gradients_all(data, state, 0, wcache)[None], True, 0.0
     A = data.x @ state.beta.T + state.m.T
     shares = []        # per row k: (s, pi_s) for s != k
     for k in range(n_rows):
@@ -604,8 +602,8 @@ def _profile_jacobian(data, state, wcache, J=None):
         return J.ravel()
 
     x0 = np.zeros(X.size) if J is None else J.ravel()
-    J, done, change = _mixed_passes(gs_pass, x0, _JACOBIAN_TOL, _BURNIN_SWEEPS,
-                                    mix=True)
+    tol = _JACOBIAN_TOL if n_rows > 1 else np.inf
+    J, done, change = _mixed_passes(gs_pass, x0, tol, mix=True)
     return J.reshape(X.shape), done, change
 
 
@@ -640,20 +638,6 @@ def _newton_step(score, info):
     return np.clip(direction, -10.0, 10.0)
 
 
-def beta_update(data: Dataset, k: int, state: SmoothState,
-                kernel: KernelConfig) -> np.ndarray:
-    """Category k's coefficients after one undamped profile-Newton step.
-
-    The step is the joint direction of :func:`fit_semiparametric`'s loop,
-    taken from ``state`` (whose m should lie on the least favourable curve
-    of its coefficients), without the loop's line search.
-    """
-    J, _, _ = _profile_jacobian(data, state, _WeightCache(kernel, data.t))
-    step = _newton_step(*_score_information(data, state, J))
-    row = state.row_of(k)
-    return state.beta[row] + step.reshape(state.beta.shape)[row]
-
-
 def _m_sweep(data, state, row, k, wcache):
     """One local Newton step of m_k at every observation point, clipped
     at ``STEP_CAP``, all from the snapshot ``state``.
@@ -686,8 +670,9 @@ def _anderson_mix(xs, gs):
     return G[-1] - dG @ gamma
 
 
-def _mixed_passes(gs_pass, x, tol, max_passes, mix):
-    """Iterate x <- G(x) = gs_pass(x) until max|G(x) - x| < tol.
+def _mixed_passes(gs_pass, x, tol, mix):
+    """Iterate x <- G(x) = gs_pass(x) until max|G(x) - x| < tol, for at
+    most ``_BURNIN_SWEEPS`` passes.
 
     With ``mix`` each next iterate is Anderson-mixed from the last
     ``_ANDERSON_DEPTH + 1`` pairs (x, G(x)); the history is dropped when
@@ -697,7 +682,7 @@ def _mixed_passes(gs_pass, x, tol, max_passes, mix):
     """
     xs, gs = [], []
     delta = np.inf
-    for _ in range(max_passes):
+    for _ in range(_BURNIN_SWEEPS):
         gx = gs_pass(x)
         prev_delta, delta = delta, float(np.abs(gx - x).max(initial=0.0))
         if delta < tol:
@@ -718,7 +703,7 @@ def _mixed_passes(gs_pass, x, tol, max_passes, mix):
     return x, False, delta
 
 
-def _resolve_all_m(data, state, cats, wcache, tol, max_sweeps=None):
+def _resolve_all_m(data, state, cats, wcache, tol):
     """Solve all m rows onto the least favourable curve of state.beta.
 
     The fixed-point map G is one Gauss-Seidel pass of local Newton steps
@@ -732,10 +717,8 @@ def _resolve_all_m(data, state, cats, wcache, tol, max_sweeps=None):
 
     Returns ``(worst per-sweep fraction of cap-clipped local updates,
     converged, last max change)``; ``converged`` is False when
-    ``max_sweeps`` (default ``_BURNIN_SWEEPS``) passes did not reach tol.
+    ``_BURNIN_SWEEPS`` passes did not reach tol.
     """
-    if max_sweeps is None:
-        max_sweeps = _BURNIN_SWEEPS
     shape = state.m.shape
     worst_cap = 0.0
 
@@ -750,7 +733,7 @@ def _resolve_all_m(data, state, cats, wcache, tol, max_sweeps=None):
         return state.m.ravel().copy()
 
     m, done, delta = _mixed_passes(gs_pass, state.m.ravel().copy(), tol,
-                                   max_sweeps, mix=len(cats) > 1)
+                                   mix=len(cats) > 1)
     state.m = m.reshape(shape)
     return worst_cap, done, delta
 
@@ -988,8 +971,7 @@ def _solve_m_at_points(data, state, kernel, Tq):
                                                   "at a query point"),
                                      -STEP_CAP, STEP_CAP)
             mu[row, start:stop] = _mixed_passes(step, state.m[row][nearest],
-                                                _POINT_TOL, _BURNIN_SWEEPS,
-                                                mix=False)[0]
+                                                _POINT_TOL, mix=False)[0]
 
     _for_each(solve_block, _blocks(Tq.shape[0], _block_rows(data.n)))
     return mu
@@ -1022,6 +1004,4 @@ def predict_surface(fit: SemiparametricFitResult, data: Dataset,
     m_new = _solve_m_at_points(data, fit.smooth, fit.kernel, T_new)
     for row, k in enumerate(fit.categories):
         eta[:, int(k) - 1] = x_fixed @ fit.beta[row] + m_new[row]
-    shifted = eta - eta.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=1, keepdims=True)
+    return softmax_probabilities(eta)

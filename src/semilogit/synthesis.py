@@ -116,8 +116,15 @@ class DGPSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DGPSpec":
-        return cls(n_categories=int(d["n_categories"]), n=int(d["n"]),
-                   seed=int(d["seed"]), beta=np.asarray(d.get("beta", [])),
+        sizes = ("n_categories", "n", "seed")
+        missing = [key for key in sizes if key not in d]
+        _require(not missing, f"simulate block lacks {', '.join(missing)}")
+        try:
+            K, n, seed = (int(d[key]) for key in sizes)
+        except (TypeError, ValueError):
+            raise ConfigError(f"simulate {', '.join(sizes)} must be integers, got "
+                              f"{[d[key] for key in sizes]}") from None
+        return cls(n_categories=K, n=n, seed=seed, beta=np.asarray(d.get("beta", [])),
                    smooth=tuple(d.get("smooth", ())),
                    x_laws=tuple(d.get("x_laws", ())),
                    t_laws=tuple(d.get("t_laws", ())))

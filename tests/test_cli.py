@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from semilogit.cli import main
 from semilogit.dataio import fmt
 
@@ -60,6 +62,36 @@ class TestFitCommand:
         cfg = write_config(tmp_path / "c.json", model="wobbly")
         rc = main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("config, message", [
+        ('{"model": ', "not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        ({"input": "data.csv",
+          "columns": {"y": "response",
+                      "x1": {"role": "parametric",
+                             "transforms": {"kind": "divide-by", "by": "ten"}}}},
+         "divide-by needs a nonzero 'by'"),
+        ({"seed": "abc"}, "seed must be a number"),
+        ({"kernel": {"scale": "x"}}, "kernel.scale must be a number"),
+        ({"fit": {"max_iter": "abc"}}, "fit.max_iter must be a number"),
+        ({"fit": {"tol": "abc"}}, "fit.tol must be a number"),
+        ({"impute": {"x1": "abc"}}, "impute.x1 must be a number"),
+        ({"simulate": {"n_categories": 2, "seed": 7}}, "simulate block lacks n"),
+        ({"simulate": {"n": 200}}, "simulate block lacks n_categories"),
+        ({"simulate": {"n_categories": 2, "n": "many", "seed": 7}},
+         "must be integers"),
+    ], ids=["not-json", "not-an-object", "divide-by-text", "seed-text",
+            "scale-text", "max-iter-text", "tol-text", "impute-text",
+            "simulate-without-n", "simulate-without-k", "simulate-n-text"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, config, message):
+        path = tmp_path / "c.json"
+        if isinstance(config, str):
+            path.write_text(config)
+        else:
+            write_config(path, extra=config)
+        rc = main(["fit", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -52,14 +52,13 @@ def sweep_counter(monkeypatch):
 
 class TestAcceleratedResolve:
     @pytest.mark.parametrize("K", [3, 4])
-    def test_matches_plain_passes(self, K):
+    def test_matches_plain_passes(self, monkeypatch, K):
         data, state, wcache = start_problem(K, 250, seed=2)
         cats = state.categories()
         fast, slow = state.copy(), state.copy()
-        _, done, _ = _resolve_all_m(data, fast, cats, wcache, 1e-12,
-                                    max_sweeps=2000)
-        _, done_ref, _ = plain_resolve(data, slow, cats, wcache, 1e-12,
-                                       max_sweeps=2000)
+        monkeypatch.setattr(profile, "_BURNIN_SWEEPS", 2000)
+        _, done, _ = _resolve_all_m(data, fast, cats, wcache, 1e-12)
+        _, done_ref, _ = plain_resolve(data, slow, cats, wcache, 1e-12)
         assert done and done_ref
         np.testing.assert_allclose(fast.m, slow.m, rtol=0, atol=1e-8)
 
@@ -108,10 +107,11 @@ class TestAcceleratedResolve:
 
 
 class TestSweepCap:
-    def test_resolve_reports_the_cap(self):
+    def test_resolve_reports_the_cap(self, monkeypatch):
         data, state, wcache = start_problem(3, 200, seed=1)
+        monkeypatch.setattr(profile, "_BURNIN_SWEEPS", 1)
         _, done, change = _resolve_all_m(data, state, state.categories(),
-                                         wcache, TOL, max_sweeps=1)
+                                         wcache, TOL)
         assert not done
         assert change >= TOL
 

@@ -9,6 +9,7 @@ from semilogit import (
     InsufficientDataError,
     NonIdentifiedError,
     NumericalFailureError,
+    ShapeError,
     fit_parametric,
     fitted_probabilities,
     oracle_mle,
@@ -17,11 +18,10 @@ from semilogit import (
     standard_errors,
 )
 from semilogit import iia
-from semilogit.core import dataset_log_likelihood
+from semilogit.core import dataset_log_likelihood, softmax_probabilities
 from semilogit.parametric import (
     _eta_from_theta,
     _loglik_gain,
-    _probabilities,
     design_matrix,
 )
 from conftest import make_dgp
@@ -90,6 +90,13 @@ class TestFitProperties:
         np.testing.assert_allclose(fitted_probabilities(fit_a, data),
                                    fitted_probabilities(fit_b, data), atol=1e-8)
 
+    @pytest.mark.parametrize("k", [3, 0, 4])
+    def test_row_of_reference_or_unknown_category_is_a_shape_error(self, k):
+        fit = fit_parametric(simulate(make_dgp(K=3, n=200, seed=9)), reference=3)
+        assert fit.row_of(2) == 1
+        with pytest.raises(ShapeError, match=f"category {k} "):
+            fit.row_of(k)
+
     def test_estimates_near_truth_large_sample(self):
         spec = DGPSpec(
             n_categories=3, n=20_000, seed=12,
@@ -116,7 +123,7 @@ class TestFitProperties:
         eta = _eta_from_theta(Z, fit.coefficients, fit.categories, 3)
         step = 0.3 * np.ones_like(fit.coefficients)
         delta = _eta_from_theta(Z, step, fit.categories, 3)
-        gain = _loglik_gain(_probabilities(eta), delta, data.y)
+        gain = _loglik_gain(softmax_probabilities(eta), delta, data.y)
         expected = (dataset_log_likelihood(data, eta + delta)
                     - dataset_log_likelihood(data, eta))
         assert gain < 0.0

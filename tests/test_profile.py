@@ -14,7 +14,6 @@ from semilogit import (
     ShapeError,
     SmoothState,
     bandwidth_from_scale,
-    beta_update,
     fit_parametric,
     fit_semiparametric,
     kernel_weight,
@@ -202,13 +201,16 @@ class TestEngineMatchesPointOps:
         state = SmoothState(beta, m, reference=3)
         kern = bandwidth_from_scale(data.t, 0.8)
         cache = _WeightCache(kern, data.t)
-        grads = _m_gradients_all(data, state, 1, cache)
+        grads = _m_gradients_all(data, state, 1, cache, -data.x)
         for i in range(0, data.n, 7):
             manual = m_gradient(data, 2, data.t[i], float(m[1, i]), state, kern)
             np.testing.assert_allclose(grads[i], manual, rtol=1e-9, atol=1e-12)
 
 
 class TestBetaUpdate:
+    """Both factors of the profile-Newton step -s / B against sums over
+    the oracles: the score s and the information -B."""
+
     def _solved_state(self, seed=11):
         data, beta, m = random_state_dataset(seed, n=20, p=1, q=1, K=2)
         state = SmoothState(beta, m, reference=2)
@@ -223,7 +225,6 @@ class TestBetaUpdate:
 
     def test_matches_direct_sum_evaluation(self):
         data, state, kern = self._solved_state()
-        new_row = beta_update(data, 1, state, kern)
         # independent accumulation of the two displayed sums, one
         # observation at a time
         s = 0.0
@@ -236,21 +237,10 @@ class TestBetaUpdate:
                                           float(state.m[0, i]), state, kern)[0]
             s += lp * u
             B += lpp * u * u
-        expected = state.beta[0, 0] - s / B
-        assert new_row[0] == pytest.approx(expected, rel=1e-9)
-
-    def test_newton_fixed_point(self):
-        spec = DGPSpec(n_categories=2, n=250, seed=13, beta=[[0.6]],
-                       smooth=({"kind": "sine", "amplitude": 0.8,
-                                "frequency": 1.0},),
-                       x_laws=({"kind": "bernoulli", "p": 0.5},),
-                       t_laws=({"kind": "uniform", "lo": -2, "hi": 2},))
-        data = simulate(spec)
-        kern = bandwidth_from_scale(data.t, 0.6)
-        fit = fit_semiparametric(data, kern, tol=1e-10)
-        assert fit.converged
-        new_row = beta_update(data, 1, fit.smooth, kern)
-        assert np.abs(new_row - fit.beta[0]).max() < 1e-6
+        score = profile_scores(data, state, kern)
+        assert score[0, 0] == pytest.approx(s, rel=1e-9)
+        fit = fit_semiparametric(data, kern, start=state, max_iter=0, tol=1e-12)
+        assert fit.beta_se[0, 0] == pytest.approx((-B) ** -0.5, rel=1e-9)
 
 
 class TestFitSemiparametric:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from semilogit import (
+    DGPSpec,
     SmoothState,
     bandwidth_from_scale,
     fit_parametric,
     fit_semiparametric,
     profile_loglik,
     profile_scores,
+    simulate,
 )
 from semilogit import profile
 from conftest import sine_dgp
@@ -43,10 +45,22 @@ def recorder(monkeypatch):
     return rec
 
 
+def linear_q2_dgp(K, n, seed):
+    """K categories with two smooth covariates t ~ (U(-2, 2), N(0, 1)):
+    every smooth is 0.5 t1 - 0.3 t2, and beta is sine_dgp's."""
+    return simulate(DGPSpec(
+        n_categories=K, n=n, seed=seed, beta=[[1.0], [-0.5], [0.3]][:K - 1],
+        smooth=tuple({"kind": "linear", "slopes": [0.5, -0.3]}
+                     for _ in range(K - 1)),
+        x_laws=({"kind": "normal"},),
+        t_laws=({"kind": "uniform", "lo": -2.0, "hi": 2.0}, {"kind": "normal"})))
+
+
 class TestExactProfileScore:
-    @pytest.mark.parametrize("K", [3, 4])
-    def test_score_is_the_gradient_of_the_recorded_loglik(self, K):
-        data = sine_dgp(K, 250, seed=2)
+    @pytest.mark.parametrize("K, q", [(3, 1), (4, 1), (3, 2), (4, 2)],
+                             ids=["3", "4", "3-q2", "4-q2"])
+    def test_score_is_the_gradient_of_the_recorded_loglik(self, K, q):
+        data = sine_dgp(K, 250, seed=2) if q == 1 else linear_q2_dgp(K, 250, seed=2)
         kernel = bandwidth_from_scale(data.t, 0.5)
         fit = fit_semiparametric(data, kernel)
         assert fit.converged

@@ -211,7 +211,7 @@ class TestTriangularPassEqualsDense:
     def _check_gradients(self, data, state, row, cache, W, P):
         M = W * P * (1.0 - P)
         rhs = np.random.default_rng(data.q).normal(size=(data.n, 3))
-        for given, expected_num in [(None, -M @ data.x), (rhs, M @ rhs)]:
+        for given, expected_num in [(-data.x, -M @ data.x), (rhs, M @ rhs)]:
             expected = expected_num / M.sum(axis=1)[:, None]
             got = _m_gradients_all(data, state, row, cache, given)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
@@ -292,7 +292,7 @@ class TestWorkCount:
 
         monkeypatch.setattr(profile, "_cross_weights", counting)
         for one_pass in (lambda: _m_sweep(data, state, 0, 1, uncached),
-                         lambda: _m_gradients_all(data, state, 0, uncached)):
+                         lambda: _m_gradients_all(data, state, 0, uncached, -data.x)):
             computed.clear()
             one_pass()
             assert n * (n + 1) // 2 <= sum(computed) <= bound
