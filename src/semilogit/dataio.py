@@ -286,24 +286,33 @@ def load_csv(path, config: RunConfig):
     return data, report
 
 
-def write_dataset_csv(data: Dataset, path, x_names=None, t_names=None):
-    """Dataset to CSV with 17-digit floats; inverse of load_csv."""
-    x_names = x_names or [f"x{j + 1}" for j in range(data.p)]
-    t_names = t_names or [f"t{d + 1}" for d in range(data.q)]
+def _write_csv(path, header, rows):
+    """One header line, then one line per row; newline-terminated."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y"] + x_names + t_names)
-        for i in range(data.n):
-            row = [data.label_of(int(data.y[i]))]
-            row += [fmt(v) for v in data.x[i]]
-            row += [fmt(v) for v in data.t[i]]
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _default_names(data: Dataset):
+    """Column names x1..xp and t1..tq."""
+    return ([f"x{j + 1}" for j in range(data.p)],
+            [f"t{d + 1}" for d in range(data.q)])
+
+
+def write_dataset_csv(data: Dataset, path, x_names=None, t_names=None):
+    """Dataset to CSV with 17-digit floats; inverse of load_csv."""
+    default_x, default_t = _default_names(data)
+    header = ["y"] + (x_names or default_x) + (t_names or default_t)
+    _write_csv(path, header, (
+        [data.label_of(int(data.y[i]))] + [fmt(v) for v in data.x[i]]
+        + [fmt(v) for v in data.t[i]] for i in range(data.n)))
 
 
 def dataset_config(data: Dataset, x_names=None, t_names=None) -> RunConfig:
     """RunConfig whose columns reload a write_dataset_csv file."""
-    x_names = x_names or [f"x{j + 1}" for j in range(data.p)]
-    t_names = t_names or [f"t{d + 1}" for d in range(data.q)]
+    default_x, default_t = _default_names(data)
+    x_names, t_names = x_names or default_x, t_names or default_t
     cols = [ColumnSpec("y", "response")]
     cols += [ColumnSpec(n, "parametric") for n in x_names]
     cols += [ColumnSpec(n, "smooth") for n in t_names]
@@ -338,6 +347,7 @@ def _config_echo(config: RunConfig) -> dict:
         "config.model": config.model,
         "config.seed": config.seed,
         "config.kernel_scale": fmt(config.kernel_scale),
+        "versions.semilogit": __version__, "versions.numpy": np.__version__,
     }
     if config.input_path:
         e["config.input"] = config.input_path
@@ -381,9 +391,7 @@ def _obtain_dataset(config: RunConfig):
         spec_dict.setdefault("seed", config.seed)
         spec = DGPSpec.from_dict(spec_dict)
         data = simulate(spec)
-        x_names = [f"x{j + 1}" for j in range(data.p)]
-        t_names = [f"t{d + 1}" for d in range(data.q)]
-        return data, None, x_names, t_names
+        return (data, None) + _default_names(data)
     if not config.input_path:
         raise ConfigError("config needs either 'input' or 'simulate'")
     data, report = load_csv(config.input_path, config)
@@ -422,7 +430,6 @@ def run_simulate(config: RunConfig) -> int:
     entries.update({
         "data.n": data.n, "data.p": data.p, "data.q": data.q,
         "data.n_categories": data.n_categories,
-        "versions.semilogit": __version__, "versions.numpy": np.__version__,
     })
     counts = data.category_counts()
     for k in range(1, data.n_categories + 1):
@@ -433,41 +440,32 @@ def run_simulate(config: RunConfig) -> int:
 
 def _write_coefficient_table(path, categories, labels, term_names,
                              estimates, ses):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["category", "label", "term", "estimate",
-                         "std_error", "z", "p_value", "stars"])
-        for r, k in enumerate(categories):
-            label = labels[k - 1] if labels else str(k)
-            for c, term in enumerate(term_names):
-                est, se = estimates[r, c], ses[r, c]
-                if se > 0 and np.isfinite(se):
-                    z = est / se
-                    p = normal_two_sided_p(z)
-                    writer.writerow([k, label, term, fmt(est), fmt(se),
-                                     fmt(z), fmt(p), significance_stars(p)])
-                else:
-                    writer.writerow([k, label, term, fmt(est), "", "", "", ""])
+    rows = []
+    for r, k in enumerate(categories):
+        label = labels[k - 1] if labels else str(k)
+        for c, term in enumerate(term_names):
+            est, se = estimates[r, c], ses[r, c]
+            if se > 0 and np.isfinite(se):
+                z = est / se
+                p = normal_two_sided_p(z)
+                rows.append([k, label, term, fmt(est), fmt(se),
+                             fmt(z), fmt(p), significance_stars(p)])
+            else:
+                rows.append([k, label, term, fmt(est), "", "", "", ""])
+    _write_csv(path, ["category", "label", "term", "estimate",
+                      "std_error", "z", "p_value", "stars"], rows)
 
 
 def _write_trace(path, trace):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "loglik"])
-        for i, ll in enumerate(trace):
-            writer.writerow([i, fmt(ll)])
+    _write_csv(path, ["iteration", "loglik"],
+               ([i, fmt(ll)] for i, ll in enumerate(trace)))
 
 
 def _write_m_values(path, data: Dataset, fit: SemiparametricFitResult, t_names):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["index"] + list(t_names)
-        header += [f"m_{int(k)}" for k in fit.categories]
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [i] + [fmt(v) for v in data.t[i]]
-            row += [fmt(fit.smooth.m[r, i]) for r in range(len(fit.categories))]
-            writer.writerow(row)
+    header = ["index"] + list(t_names) + [f"m_{int(k)}" for k in fit.categories]
+    _write_csv(path, header, (
+        [i] + [fmt(v) for v in data.t[i]] + [fmt(v) for v in fit.smooth.m[:, i]]
+        for i in range(data.n)))
 
 
 def _write_fit_state(path, data: Dataset, fit: SemiparametricFitResult,
@@ -538,7 +536,6 @@ def run_fit(config: RunConfig) -> int:
         "data.n": data.n, "data.p": data.p, "data.q": data.q,
         "data.n_categories": data.n_categories,
         "fit.reference": reference,
-        "versions.semilogit": __version__, "versions.numpy": np.__version__,
     })
 
     # any other fit key is echoed in the manifest and otherwise ignored
@@ -626,28 +623,18 @@ def run_surface(config: RunConfig, fit_dir=None) -> int:
     cats = request.get("categories")
     cats = [int(c) for c in cats] if cats else list(range(1, data.n_categories + 1))
 
-    g1 = np.linspace(axes[0]["lo"], axes[0]["hi"], int(axes[0]["steps"]))
-    g2 = np.linspace(axes[1]["lo"], axes[1]["hi"], int(axes[1]["steps"]))
-    grid = np.empty((len(g1) * len(g2), 2))
-    rows = []
-    i = 0
-    for a in g1:
-        for b in g2:
-            grid[i, order[0]] = a
-            grid[i, order[1]] = b
-            rows.append((a, b))
-            i += 1
+    g1, g2 = (np.linspace(ax["lo"], ax["hi"], int(ax["steps"])) for ax in axes)
+    a, b = (g.ravel() for g in np.meshgrid(g1, g2, indexing="ij"))
+    grid = np.empty((a.size, 2))
+    grid[:, order[0]], grid[:, order[1]] = a, b
     probs = predict_surface(fit, data, grid, x_fixed)
 
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "surface.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([axes[0]["name"], axes[1]["name"], "category",
-                         "probability"])
-        for i, (a, b) in enumerate(rows):
-            for k in cats:
-                writer.writerow([fmt(a), fmt(b), k, fmt(probs[i, k - 1])])
+    _write_csv(out / "surface.csv",
+               [axes[0]["name"], axes[1]["name"], "category", "probability"],
+               ([fmt(a[i]), fmt(b[i]), k, fmt(probs[i, k - 1])]
+                for i in range(a.size) for k in cats))
     return 0
 
 
@@ -677,20 +664,14 @@ def run_iia(config: RunConfig) -> int:
             results.append(small_hsiao(data, int(drop), config.seed,
                                        reference=reference))
 
-    with open(out / "iia_results.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "dropped_category", "dropped_label",
-                         "statistic", "df", "p_value", "note"])
-        for r in results:
-            label = data.label_of(r.dropped_category)
-            writer.writerow([r.method, r.dropped_category, label,
-                             fmt(r.statistic), r.df, fmt(r.p_value), r.note])
+    _write_csv(out / "iia_results.csv",
+               ["method", "dropped_category", "dropped_label", "statistic",
+                "df", "p_value", "note"],
+               ([r.method, r.dropped_category, data.label_of(r.dropped_category),
+                 fmt(r.statistic), r.df, fmt(r.p_value), r.note] for r in results))
     entries = _config_echo(config)
     entries.update(_ingest_entries(report))
-    entries.update({
-        "iia.method": method, "iia.reference": reference,
-        "versions.semilogit": __version__, "versions.numpy": np.__version__,
-    })
+    entries.update({"iia.method": method, "iia.reference": reference})
     _write_manifest(out / "manifest.txt", entries)
     return 0
 
@@ -706,10 +687,8 @@ def run_bandwidth_grid(config: RunConfig) -> int:
     lo = float(grid_cfg.get("lo", 0.4))
     hi = float(grid_cfg.get("hi", 1.0))
     steps = int(grid_cfg.get("steps", 7))
-    configs = bandwidth_grid(data.t, lo, hi, steps)
-    with open(out / "bandwidth_grid.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scale"] + [f"h_{name}" for name in t_names])
-        for kc in configs:
-            writer.writerow([fmt(kc.scale)] + [fmt(h) for h in kc.bandwidths])
+    _write_csv(out / "bandwidth_grid.csv",
+               ["scale"] + [f"h_{name}" for name in t_names],
+               ([fmt(kc.scale)] + [fmt(h) for h in kc.bandwidths]
+                for kc in bandwidth_grid(data.t, lo, hi, steps)))
     return 0

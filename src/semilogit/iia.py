@@ -24,34 +24,34 @@ from .exceptions import ConfigError, InsufficientDataError
 from .parametric import coefficient_log_likelihood, fit_parametric
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+_GAMMA_TOL = 1e-16
+_GAMMA_MAX_ITER = 1000
 
 
 # --------------------------------------------------------------------------
 # chi-square tail via regularized incomplete gamma
 # --------------------------------------------------------------------------
 
-def _gamma_p_series(a: float, x: float, tol: float = 1e-16,
-                    max_iter: int = 1000) -> float:
+def _gamma_p_series(a: float, x: float) -> float:
     term = 1.0 / a
     total = term
     ap = a
-    for _ in range(max_iter):
+    for _ in range(_GAMMA_MAX_ITER):
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * tol:
+        if abs(term) < abs(total) * _GAMMA_TOL:
             break
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def _gamma_q_continued_fraction(a: float, x: float, tol: float = 1e-16,
-                                max_iter: int = 1000) -> float:
+def _gamma_q_continued_fraction(a: float, x: float) -> float:
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, max_iter):
+    for i in range(1, _GAMMA_MAX_ITER):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -63,7 +63,7 @@ def _gamma_q_continued_fraction(a: float, x: float, tol: float = 1e-16,
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < _GAMMA_TOL:
             break
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
@@ -107,15 +107,16 @@ class IIATestResult:
     note: str = ""
 
 
-def _drop_category(data: Dataset, drop: int):
-    """Subsample without category ``drop``, relabelled to 1..K-1."""
+def _drop_category(data: Dataset, drop: int, reference: int):
+    """Subsample without category ``drop``, relabelled to 1..K-1, and the
+    relabelled reference."""
     keep_rows = data.y != drop
     kept = np.array([k for k in range(1, data.n_categories + 1) if k != drop])
     new_y = np.searchsorted(kept, data.y[keep_rows]) + 1
     labels = tuple(data.labels[k - 1] for k in kept) if data.labels else ()
     restricted = Dataset(y=new_y, x=data.x[keep_rows], t=data.t[keep_rows],
                          n_categories=data.n_categories - 1, labels=labels)
-    return restricted, kept
+    return restricted, int(np.searchsorted(kept, reference) + 1)
 
 
 def _shared_rows(full, drop):
@@ -133,9 +134,7 @@ def _check_drop(data, drop, reference):
 
 
 def hausman_mcfadden(data: Dataset, drop: int, *,
-                     reference: int | None = None,
-                     include_smooth: bool = True, tol: float = 1e-8,
-                     max_iter: int = 100) -> IIATestResult:
+                     reference: int | None = None) -> IIATestResult:
     """Hausman-McFadden IIA test dropping one non-reference category.
 
     statistic = d' (V_r - V_f)^{-1} d over the shared coefficients, where
@@ -145,14 +144,9 @@ def hausman_mcfadden(data: Dataset, drop: int, *,
     """
     reference = data.n_categories if reference is None else reference
     _check_drop(data, drop, reference)
-    full = fit_parametric(data, reference=reference,
-                          include_smooth=include_smooth, tol=tol,
-                          max_iter=max_iter)
-    restricted_data, kept = _drop_category(data, drop)
-    new_ref = int(np.searchsorted(kept, reference) + 1)
-    restricted = fit_parametric(restricted_data, reference=new_ref,
-                                include_smooth=include_smooth, tol=tol,
-                                max_iter=max_iter)
+    full = fit_parametric(data, reference=reference)
+    restricted_data, new_ref = _drop_category(data, drop, reference)
+    restricted = fit_parametric(restricted_data, reference=new_ref)
 
     rows = _shared_rows(full, drop)
     pp = full.coefficients.shape[1]
@@ -177,8 +171,7 @@ def hausman_mcfadden(data: Dataset, drop: int, *,
 
 
 def small_hsiao(data: Dataset, drop: int, seed: int, *,
-                reference: int | None = None, include_smooth: bool = True,
-                tol: float = 1e-8, max_iter: int = 100) -> IIATestResult:
+                reference: int | None = None) -> IIATestResult:
     """Small-Hsiao IIA test with a seeded random half-split.
 
     Full-model fits on both halves are blended as
@@ -198,22 +191,14 @@ def small_hsiao(data: Dataset, drop: int, seed: int, *,
             raise InsufficientDataError(
                 f"half-sample {name} lost a category; need more data")
 
-    fit_a = fit_parametric(half_a, reference=reference,
-                           include_smooth=include_smooth, tol=tol,
-                           max_iter=max_iter)
-    fit_b = fit_parametric(half_b, reference=reference,
-                           include_smooth=include_smooth, tol=tol,
-                           max_iter=max_iter)
+    fit_a = fit_parametric(half_a, reference=reference)
+    fit_b = fit_parametric(half_b, reference=reference)
     blend = _SQRT_HALF * fit_a.coefficients + (1.0 - _SQRT_HALF) * fit_b.coefficients
 
-    restricted_b, kept = _drop_category(half_b, drop)
-    new_ref = int(np.searchsorted(kept, reference) + 1)
+    restricted_b, new_ref = _drop_category(half_b, drop, reference)
     rows = _shared_rows(fit_b, drop)
-    ll_blend = coefficient_log_likelihood(restricted_b, blend[rows], new_ref,
-                                          include_smooth=include_smooth)
-    refit = fit_parametric(restricted_b, reference=new_ref,
-                           include_smooth=include_smooth, tol=tol,
-                           max_iter=max_iter)
+    ll_blend = coefficient_log_likelihood(restricted_b, blend[rows], new_ref)
+    refit = fit_parametric(restricted_b, reference=new_ref)
     statistic = float(-2.0 * (ll_blend - refit.loglik))
     df = refit.coefficients.size
     return IIATestResult(statistic=statistic, df=df,
@@ -222,8 +207,7 @@ def small_hsiao(data: Dataset, drop: int, seed: int, *,
 
 
 def iia_all_permutations(data: Dataset, method: str, seed: int = 0, *,
-                         reference: int | None = None,
-                         include_smooth: bool = True) -> list:
+                         reference: int | None = None) -> list:
     """Run one IIA test per eligible dropped category.
 
     Individual failures become entries with NaN statistics and the error
@@ -236,11 +220,9 @@ def iia_all_permutations(data: Dataset, method: str, seed: int = 0, *,
     for drop in nonreference_categories(data.n_categories, reference):
         try:
             if method == "HausmanMcFadden":
-                res = hausman_mcfadden(data, int(drop), reference=reference,
-                                       include_smooth=include_smooth)
+                res = hausman_mcfadden(data, int(drop), reference=reference)
             else:
-                res = small_hsiao(data, int(drop), seed, reference=reference,
-                                  include_smooth=include_smooth)
+                res = small_hsiao(data, int(drop), seed, reference=reference)
         except Exception as err:  # per-entry failure, not fatal
             res = IIATestResult(statistic=float("nan"), df=0,
                                 p_value=float("nan"), dropped_category=int(drop),

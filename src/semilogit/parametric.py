@@ -227,8 +227,7 @@ def fitted_probabilities(result: ParametricFitResult, data: Dataset) -> np.ndarr
 
 
 def coefficient_log_likelihood(data: Dataset, coefficients: np.ndarray,
-                               reference: int,
-                               include_smooth: bool = True) -> float:
+                               reference: int) -> float:
     """Joint log-likelihood of given coefficients on a dataset.
 
     Needed by the Small-Hsiao test, which evaluates one sample's
@@ -236,6 +235,6 @@ def coefficient_log_likelihood(data: Dataset, coefficients: np.ndarray,
     """
     K = data.n_categories
     cats = nonreference_categories(K, reference)
-    Z = design_matrix(data, include_smooth)
+    Z = design_matrix(data)
     eta = _eta_from_theta(Z, np.asarray(coefficients, dtype=np.float64), cats, K)
     return dataset_log_likelihood(data, eta)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, softmax_probabilities
 from .exceptions import ConfigError
 
 SMOOTH_KINDS = ("zero", "linear", "sine", "ridge-interaction")
@@ -169,9 +169,7 @@ def true_probabilities(spec: DGPSpec, x: np.ndarray, t: np.ndarray) -> np.ndarra
     eta = np.zeros((x.shape[0], K))
     for k in range(K - 1):
         eta[:, k] = x @ spec.beta[k] + evaluate_smooth(spec.smooth[k], t)
-    shifted = eta - eta.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=1, keepdims=True)
+    return softmax_probabilities(eta)
 
 
 def simulate(spec: DGPSpec) -> Dataset:
