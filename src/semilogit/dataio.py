@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .core import Dataset
-from .exceptions import ConfigError, EmptyDatasetError, ShapeError
+from .exceptions import ConfigError, EmptyDatasetError, ShapeError, config_number
 from .iia import hausman_mcfadden, iia_all_permutations, small_hsiao
 from .kernels import KernelConfig, bandwidth_from_scale, bandwidth_grid
 from .parametric import fit_parametric
@@ -37,12 +37,12 @@ def fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def _number(value, what: str, kind=float):
-    """``kind(value)``; a ConfigError naming ``what`` when that fails."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+def _section(d: dict, key: str):
+    """``d[key]`` when it is a JSON object; None when it is absent."""
+    value = d.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -99,36 +99,42 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         cols = []
-        for name, spec in d.get("columns", {}).items():
+        for name, spec in (_section(d, "columns") or {}).items():
             if isinstance(spec, str):
-                role, transforms = spec, []
-            else:
-                role = spec.get("role", "ignore")
-                transforms = spec.get("transforms", [])
-                if isinstance(transforms, dict):
-                    transforms = [transforms]
-            cols.append(ColumnSpec(name=name, role=role, transforms=transforms))
-        kernel = d.get("kernel", {})
-        fit = dict(d.get("fit", {}))
+                spec = {"role": spec}
+            if not isinstance(spec, dict):
+                raise ConfigError(f"column {name!r} needs a role or a JSON object")
+            transforms = spec.get("transforms", [])
+            if isinstance(transforms, dict):
+                transforms = [transforms]
+            cols.append(ColumnSpec(name=name, role=spec.get("role", "ignore"),
+                                   transforms=transforms))
+        kernel = _section(d, "kernel") or {}
+        bandwidths = kernel.get("bandwidths")
+        if bandwidths is not None:
+            if not isinstance(bandwidths, list):
+                raise ConfigError(f"kernel.bandwidths must be a list, got {bandwidths!r}")
+            bandwidths = [config_number(h, "kernel.bandwidths") for h in bandwidths]
+        fit = dict(_section(d, "fit") or {})
         for key, kind in (("tol", float), ("max_iter", int)):
             if key in fit:
-                fit[key] = _number(fit[key], f"fit.{key}", kind)
+                fit[key] = config_number(fit[key], f"fit.{key}", kind)
         return cls(
             columns=cols,
             input_path=d.get("input"),
-            simulate=d.get("simulate"),
+            simulate=_section(d, "simulate"),
             model=d.get("model", "parametric"),
-            kernel_scale=_number(kernel.get("scale", 0.5), "kernel.scale"),
-            bandwidths=kernel.get("bandwidths"),
+            kernel_scale=config_number(kernel.get("scale", 0.5), "kernel.scale"),
+            bandwidths=bandwidths,
             fit_options=fit,
             reference=d.get("reference"),
-            seed=_number(d.get("seed", 0), "seed", int),
+            seed=config_number(d.get("seed", 0), "seed", int),
             out=d.get("out", "run-output"),
-            surface=d.get("surface"),
-            iia=d.get("iia"),
-            impute={name: _number(v, f"impute.{name}")
-                    for name, v in d.get("impute", {}).items()},
-            grid=d.get("grid"),
+            surface=_section(d, "surface"),
+            iia=_section(d, "iia"),
+            impute={name: config_number(v, f"impute.{name}")
+                    for name, v in (_section(d, "impute") or {}).items()},
+            grid=_section(d, "grid"),
         )
 
     @classmethod
@@ -378,7 +384,7 @@ def _resolve_reference(config: RunConfig, data: Dataset):
         if data.labels and ref in data.labels:
             return data.labels.index(ref) + 1
         raise ConfigError(f"reference label {ref!r} not among {data.labels}")
-    ref = int(ref)
+    ref = config_number(ref, "reference", int)
     if not 1 <= ref <= data.n_categories:
         raise ConfigError(f"reference {ref} outside 1..{data.n_categories}")
     return ref
@@ -597,34 +603,45 @@ def run_surface(config: RunConfig, fit_dir=None) -> int:
         raise ConfigError("surface export needs exactly two smooth covariates")
 
     axes = request.get("axes")
-    if not axes or len(axes) != 2:
+    if not isinstance(axes, list) or len(axes) != 2:
         raise ConfigError("surface.axes must list the two smooth covariates")
-    order = []
-    for ax in axes:
+    order, grids = [], []
+    for i, ax in enumerate(axes):
+        if not isinstance(ax, dict):
+            raise ConfigError(f"surface.axes[{i}] must be a JSON object, got {ax!r}")
         name = ax.get("name")
         if name not in t_names:
             raise ConfigError(f"axis {name!r} is not a smooth covariate "
                               f"(have {t_names})")
-        if ax.get("steps", 0) < 2:
+        what = f"surface.axes[{i}]"
+        lo = config_number(ax.get("lo", 0.0), f"{what}.lo")
+        hi = config_number(ax.get("hi", 1.0), f"{what}.hi")
+        steps = config_number(ax.get("steps", 0), f"{what}.steps", int)
+        if steps < 2:
             raise ConfigError("each axis needs steps >= 2")
-        if not ax.get("lo", 0.0) < ax.get("hi", 1.0):
+        if not lo < hi:
             raise ConfigError("each axis needs lo < hi")
         order.append(t_names.index(name))
+        grids.append(np.linspace(lo, hi, steps))
     if set(order) != {0, 1}:
         raise ConfigError("surface axes must name both smooth covariates")
 
-    fixed = request.get("fixed", {})
+    fixed = _section(request, "fixed") or {}
     x_fixed = np.zeros(data.p)
     for j, name in enumerate(x_names):
         if name not in fixed:
             raise ConfigError(f"surface.fixed must give a value for {name!r}")
-        x_fixed[j] = float(fixed[name])
+        x_fixed[j] = config_number(fixed[name], f"surface.fixed.{name}")
 
-    cats = request.get("categories")
-    cats = [int(c) for c in cats] if cats else list(range(1, data.n_categories + 1))
+    K = data.n_categories
+    cats = request.get("categories") or list(range(1, K + 1))
+    if not isinstance(cats, list):
+        raise ConfigError(f"surface.categories must be a list, got {cats!r}")
+    cats = [config_number(k, "surface.categories", int) for k in cats]
+    if not all(1 <= k <= K for k in cats):
+        raise ConfigError(f"surface.categories must lie in 1..{K}, got {cats}")
 
-    g1, g2 = (np.linspace(ax["lo"], ax["hi"], int(ax["steps"])) for ax in axes)
-    a, b = (g.ravel() for g in np.meshgrid(g1, g2, indexing="ij"))
+    a, b = (g.ravel() for g in np.meshgrid(*grids, indexing="ij"))
     grid = np.empty((a.size, 2))
     grid[:, order[0]], grid[:, order[1]] = a, b
     probs = predict_surface(fit, data, grid, x_fixed)
@@ -653,15 +670,17 @@ def run_iia(config: RunConfig) -> int:
         raise ConfigError(f"unknown IIA method {method!r}")
 
     drop = request.get("drop")
+    if drop is not None:
+        drop = config_number(drop, "iia.drop", int)
     results = []
     for m in methods:
         if drop is None:
             results.extend(iia_all_permutations(data, m, seed=config.seed,
                                                 reference=reference))
         elif m == "HausmanMcFadden":
-            results.append(hausman_mcfadden(data, int(drop), reference=reference))
+            results.append(hausman_mcfadden(data, drop, reference=reference))
         else:
-            results.append(small_hsiao(data, int(drop), config.seed,
+            results.append(small_hsiao(data, drop, config.seed,
                                        reference=reference))
 
     _write_csv(out / "iia_results.csv",
@@ -684,9 +703,9 @@ def run_bandwidth_grid(config: RunConfig) -> int:
     if data.q == 0:
         raise ConfigError("bandwidth grid needs at least one smooth covariate")
     grid_cfg = config.grid or {}
-    lo = float(grid_cfg.get("lo", 0.4))
-    hi = float(grid_cfg.get("hi", 1.0))
-    steps = int(grid_cfg.get("steps", 7))
+    lo = config_number(grid_cfg.get("lo", 0.4), "grid.lo")
+    hi = config_number(grid_cfg.get("hi", 1.0), "grid.hi")
+    steps = config_number(grid_cfg.get("steps", 7), "grid.steps", int)
     _write_csv(out / "bandwidth_grid.csv",
                ["scale"] + [f"h_{name}" for name in t_names],
                ([fmt(kc.scale)] + [fmt(h) for h in kc.bandwidths]

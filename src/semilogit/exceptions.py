@@ -2,8 +2,11 @@
 
 Every error raised by this package derives from :class:`SemilogitError`,
 so callers can catch the whole family with one clause.  The value-like
-errors additionally derive from ``ValueError``.
+errors additionally derive from ``ValueError``.  ``config_number`` reads
+every number of a run configuration, so a bad one is a ConfigError.
 """
+
+import numbers
 
 
 class SemilogitError(Exception):
@@ -52,3 +55,14 @@ class OracleFailureError(SemilogitError):
 
 class EmptyDatasetError(SemilogitError):
     """Ingestion produced zero usable rows."""
+
+
+def config_number(value, what: str, kind=float):
+    """``kind(value)`` for a JSON number ``value``; a ConfigError naming
+    ``what`` for anything else, and for a non-integral value when ``kind``
+    is int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if kind is int and not (isinstance(value, numbers.Integral) or value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return kind(value)

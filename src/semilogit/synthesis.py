@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Dataset, softmax_probabilities
-from .exceptions import ConfigError
+from .exceptions import ConfigError, config_number
 
 SMOOTH_KINDS = ("zero", "linear", "sine", "ridge-interaction")
 LAW_KINDS = ("uniform", "normal", "bernoulli", "lognormal")
@@ -24,39 +24,45 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _param(desc: dict, key: str, default: float) -> float:
+    """``desc[key]`` (``default`` when absent) as a float."""
+    return config_number(desc.get(key, default), f"{desc['kind']} {key}")
+
+
 def validate_smooth(desc: dict, q: int) -> dict:
-    kind = desc.get("kind")
+    kind = desc.get("kind") if isinstance(desc, dict) else None
     _require(kind in SMOOTH_KINDS, f"unknown smooth kind {kind!r}")
     if kind == "linear":
-        slopes = np.atleast_1d(np.asarray(desc.get("slopes", 0.0), dtype=float))
+        slopes = [config_number(v, "linear slopes")
+                  for v in np.atleast_1d(desc.get("slopes", 0.0)).tolist()]
         _require(np.all(np.isfinite(slopes)), "linear slopes must be finite")
-        _require(slopes.size in (1, q), f"linear slopes must have length 1 or {q}")
-        _require(np.isfinite(desc.get("intercept", 0.0)), "intercept must be finite")
+        _require(len(slopes) in (1, q), f"linear slopes must have length 1 or {q}")
+        _require(np.isfinite(_param(desc, "intercept", 0.0)), "intercept must be finite")
     elif kind == "sine":
-        _require(np.isfinite(desc.get("amplitude", 1.0)), "amplitude must be finite")
-        _require(np.isfinite(desc.get("frequency", 1.0)), "frequency must be finite")
+        _require(np.isfinite(_param(desc, "amplitude", 1.0)), "amplitude must be finite")
+        _require(np.isfinite(_param(desc, "frequency", 1.0)), "frequency must be finite")
     elif kind == "ridge-interaction":
         _require(q >= 2, "ridge-interaction needs at least two smooth covariates")
-        _require(np.isfinite(desc.get("a", 1.0)), "ridge coefficient must be finite")
+        _require(np.isfinite(_param(desc, "a", 1.0)), "ridge coefficient must be finite")
     return dict(desc)
 
 
 def validate_law(desc: dict) -> dict:
-    kind = desc.get("kind")
+    kind = desc.get("kind") if isinstance(desc, dict) else None
     _require(kind in LAW_KINDS, f"unknown covariate law {kind!r}")
     if kind == "uniform":
-        lo, hi = desc.get("lo", 0.0), desc.get("hi", 1.0)
+        lo, hi = _param(desc, "lo", 0.0), _param(desc, "hi", 1.0)
         _require(np.isfinite(lo) and np.isfinite(hi) and lo < hi,
                  f"uniform needs lo < hi, got ({lo}, {hi})")
     elif kind == "normal":
-        _require(np.isfinite(desc.get("mu", 0.0)), "normal mu must be finite")
-        _require(desc.get("sd", 1.0) > 0, "normal sd must be positive")
+        _require(np.isfinite(_param(desc, "mu", 0.0)), "normal mu must be finite")
+        _require(_param(desc, "sd", 1.0) > 0, "normal sd must be positive")
     elif kind == "bernoulli":
-        pr = desc.get("p", 0.5)
+        pr = _param(desc, "p", 0.5)
         _require(0.0 <= pr <= 1.0, f"bernoulli p must be in [0, 1], got {pr}")
     elif kind == "lognormal":
-        _require(np.isfinite(desc.get("mu", 0.0)), "lognormal mu must be finite")
-        _require(desc.get("sigma", 1.0) > 0, "lognormal sigma must be positive")
+        _require(np.isfinite(_param(desc, "mu", 0.0)), "lognormal mu must be finite")
+        _require(_param(desc, "sigma", 1.0) > 0, "lognormal sigma must be positive")
     return dict(desc)
 
 
@@ -120,8 +126,8 @@ class DGPSpec:
         missing = [key for key in sizes if key not in d]
         _require(not missing, f"simulate block lacks {', '.join(missing)}")
         try:
-            K, n, seed = (int(d[key]) for key in sizes)
-        except (TypeError, ValueError):
+            K, n, seed = (config_number(d[key], key, int) for key in sizes)
+        except ConfigError:
             raise ConfigError(f"simulate {', '.join(sizes)} must be integers, got "
                               f"{[d[key] for key in sizes]}") from None
         return cls(n_categories=K, n=n, seed=seed, beta=np.asarray(d.get("beta", [])),

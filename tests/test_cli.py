@@ -1,5 +1,6 @@
 """CLI subcommands, flag overrides, exit codes."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -80,9 +81,28 @@ class TestFitCommand:
         ({"simulate": {"n": 200}}, "simulate block lacks n_categories"),
         ({"simulate": {"n_categories": 2, "n": "many", "seed": 7}},
          "must be integers"),
+        ({"kernel": "x"}, "kernel must be a JSON object"),
+        ({"fit": "x"}, "fit must be a JSON object"),
+        ({"kernel": {"bandwidths": ["a", "b"]}}, "kernel.bandwidths must be a number"),
+        ({"simulate": {"n_categories": 2, "n": 200, "seed": 7, "beta": [[0.6]],
+                       "x_laws": [{"kind": "normal", "sd": "x"}]}},
+         "normal sd must be a number"),
+        ({"reference": 2.5}, "reference must be an integer"),
+        ({"seed": 2.5}, "seed must be an integer"),
+        ({"fit": {"max_iter": 3.7}}, "fit.max_iter must be an integer"),
+        ({"simulate": {"n_categories": 2.9, "n": 200, "seed": 7}}, "must be integers"),
+        ({"input": "data.csv", "columns": {"y": 5}},
+         "column 'y' needs a role or a JSON object"),
+        ({"kernel": {"bandwidths": 0.3}}, "kernel.bandwidths must be a list"),
+        ({"simulate": {"n_categories": 2, "n": 200, "seed": 7, "beta": [[0.6]],
+                       "x_laws": ["normal"]}}, "unknown covariate law"),
     ], ids=["not-json", "not-an-object", "divide-by-text", "seed-text",
             "scale-text", "max-iter-text", "tol-text", "impute-text",
-            "simulate-without-n", "simulate-without-k", "simulate-n-text"])
+            "simulate-without-n", "simulate-without-k", "simulate-n-text",
+            "kernel-text", "fit-text", "bandwidths-text", "law-sd-text",
+            "reference-fraction", "seed-fraction", "max-iter-fraction",
+            "simulate-k-fraction", "column-spec-number", "bandwidths-scalar",
+            "law-not-an-object"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, config, message):
         path = tmp_path / "c.json"
         if isinstance(config, str):
@@ -92,6 +112,56 @@ class TestFitCommand:
         rc = main(["fit", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, value, message", [
+        ("surface", "surface", {"axes": [{"name": "t1", "lo": -0.5, "hi": 0.5, "steps": "3"},
+                                         {"name": "t2", "lo": -0.5, "hi": 0.5, "steps": 3}],
+                                "fixed": {"x1": 1.0}},
+         "surface.axes[0].steps must be a number"),
+        ("surface", "surface", {"axes": ["t1", "t2"], "fixed": {"x1": 1.0}},
+         "surface.axes[0] must be a JSON object"),
+        ("surface", "surface", {"axes": [{"name": "t1", "steps": 3},
+                                         {"name": "t2", "steps": 3}],
+                                "fixed": {"x1": 1.0}, "categories": 1},
+         "surface.categories must be a list"),
+        ("iia-test", "iia", {"drop": "x"}, "iia.drop must be a number"),
+        ("iia-test", "iia", {"drop": 1.5}, "iia.drop must be an integer"),
+        ("bandwidth-grid", "grid", {"lo": "x"}, "grid.lo must be a number"),
+    ], ids=["surface-steps-text", "surface-axis-text", "surface-categories-number",
+            "iia-drop-text", "iia-drop-fraction",
+            "grid-lo-text"])
+    def test_malformed_subcommand_config_exits_2(self, tmp_path, capsys, command,
+                                                 section, value, message):
+        cfg = copy.deepcopy(SUBCOMMAND_CONFIGS[command])
+        cfg[section] = value
+        path = write_config(tmp_path / "c.json", extra=cfg)
+        args = ["--config", str(path), "--out", str(tmp_path / "o")]
+        if command == "surface":
+            assert main(["fit", "--config", str(path),
+                         "--out", str(tmp_path / "f")]) == 0
+            args += ["--fit-dir", str(tmp_path / "f")]
+        assert main([command] + args) == 2
+        assert message in capsys.readouterr().err
+
+
+Q2_SIMULATE = {
+    "n_categories": 2, "n": 200, "seed": 7, "beta": [[0.6]],
+    "smooth": [{"kind": "ridge-interaction", "a": 0.5}],
+    "x_laws": [{"kind": "bernoulli", "p": 0.5}],
+    "t_laws": [{"kind": "uniform", "lo": -1, "hi": 1},
+               {"kind": "uniform", "lo": -1, "hi": 1}],
+}
+K3_SIMULATE = {
+    "n_categories": 3, "n": 400, "seed": 2, "beta": [[0.4], [-0.3]],
+    "smooth": [{"kind": "zero"}, {"kind": "zero"}],
+    "x_laws": [{"kind": "normal"}], "t_laws": [],
+}
+# a valid config per subcommand, before its section is spoiled
+SUBCOMMAND_CONFIGS = {
+    "surface": {"simulate": Q2_SIMULATE},
+    "iia-test": {"simulate": K3_SIMULATE, "model": "parametric"},
+    "bandwidth-grid": {},
+}
 
 
 class TestSimulateCommand:
@@ -109,13 +179,7 @@ class TestSurfaceCommand:
     def _fit(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
-            extra={"simulate": {
-                "n_categories": 2, "n": 200, "seed": 7, "beta": [[0.6]],
-                "smooth": [{"kind": "ridge-interaction", "a": 0.5}],
-                "x_laws": [{"kind": "bernoulli", "p": 0.5}],
-                "t_laws": [{"kind": "uniform", "lo": -1, "hi": 1},
-                           {"kind": "uniform", "lo": -1, "hi": 1}],
-            }, "surface": {
+            extra={"simulate": Q2_SIMULATE, "surface": {
                 "axes": [{"name": "t1", "lo": -0.5, "hi": 0.5, "steps": 3},
                          {"name": "t2", "lo": -0.5, "hi": 0.5, "steps": 3}],
                 "fixed": {"x1": 1.0},
@@ -168,6 +232,19 @@ class TestSurfaceCommand:
                    "--out", str(tmp_path / "s2")])
         assert rc == 2
 
+    @pytest.mark.parametrize("categories", [[0], [3]], ids=["zero", "k-plus-one"])
+    def test_category_outside_1_to_k_rejected(self, tmp_path, capsys, categories):
+        cfg_path = self._fit(tmp_path)
+        cfg = json.loads(Path(cfg_path).read_text())
+        cfg["surface"]["categories"] = categories
+        Path(cfg_path).write_text(json.dumps(cfg))
+        rc = main(["surface", "--config", str(cfg_path),
+                   "--fit-dir", str(tmp_path / "f"),
+                   "--out", str(tmp_path / "s2")])
+        assert rc == 2
+        assert "surface.categories must lie in 1..2" in capsys.readouterr().err
+        assert not (tmp_path / "s2" / "surface.csv").exists()
+
     def test_surface_without_fit_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
                            extra={"surface": {"axes": []}})
@@ -181,13 +258,7 @@ class TestIIACommand:
     def test_table_written(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
-            extra={"simulate": {
-                "n_categories": 3, "n": 400, "seed": 2,
-                "beta": [[0.4], [-0.3]],
-                "smooth": [{"kind": "zero"}, {"kind": "zero"}],
-                "x_laws": [{"kind": "normal"}],
-                "t_laws": [],
-            }, "iia": {"method": "both"}},
+            extra={"simulate": K3_SIMULATE, "iia": {"method": "both"}},
             model="parametric")
         rc = main(["iia-test", "--config", str(cfg),
                    "--out", str(tmp_path / "iia")])

@@ -162,3 +162,18 @@ class TestAllPermutations:
         results = iia_all_permutations(data, "SmallHsiao", seed=1)
         assert len(results) == 3
         assert any("failed" in r.note for r in results)
+
+
+class TestReferenceInvariance:
+    # Switching between kept reference categories maps the shared
+    # coefficients by an invertible linear map, and both likelihoods
+    # depend only on differences, so neither statistic may move.
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_statistics_do_not_depend_on_reference(self, seed):
+        data = simulate(iia_dgp(seed, n=1500))
+        for drop in (1, 3):
+            for run in (lambda **kw: hausman_mcfadden(data, drop, **kw),
+                        lambda **kw: small_hsiao(data, drop, seed, **kw)):
+                at_2, at_4 = run(reference=2), run(reference=4)
+                assert at_2.df == at_4.df
+                assert at_2.statistic == pytest.approx(at_4.statistic, rel=1e-8)
