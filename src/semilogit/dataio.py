@@ -311,8 +311,8 @@ def write_dataset_csv(data: Dataset, path, x_names=None, t_names=None):
     default_x, default_t = _default_names(data)
     header = ["y"] + (x_names or default_x) + (t_names or default_t)
     _write_csv(path, header, (
-        [data.label_of(int(data.y[i]))] + [fmt(v) for v in data.x[i]]
-        + [fmt(v) for v in data.t[i]] for i in range(data.n)))
+        [data.label_of(int(y))] + [fmt(v) for v in x + t]
+        for y, x, t in zip(data.y, data.x.tolist(), data.t.tolist())))
 
 
 def dataset_config(data: Dataset, x_names=None, t_names=None) -> RunConfig:
@@ -469,9 +469,9 @@ def _write_trace(path, trace):
 
 def _write_m_values(path, data: Dataset, fit: SemiparametricFitResult, t_names):
     header = ["index"] + list(t_names) + [f"m_{int(k)}" for k in fit.categories]
-    _write_csv(path, header, (
-        [i] + [fmt(v) for v in data.t[i]] + [fmt(v) for v in fit.smooth.m[:, i]]
-        for i in range(data.n)))
+    rows = zip(data.t.tolist(), fit.smooth.m.T.tolist())
+    _write_csv(path, header, ([i] + [fmt(v) for v in t + m]
+                              for i, (t, m) in enumerate(rows)))
 
 
 def _write_fit_state(path, data: Dataset, fit: SemiparametricFitResult,
