@@ -12,9 +12,7 @@ from .core import (
     Dataset,
     dataset_log_likelihood,
     linear_predictors,
-    log_likelihood_contribution,
     nonreference_categories,
-    score_and_curvature,
     softmax_probabilities,
 )
 from .exceptions import (
@@ -50,9 +48,11 @@ from .oracles import (
     golden_section,
     local_m_update,
     local_smoothed_score,
+    log_likelihood_contribution,
     m_gradient,
     oracle_local_solve,
     oracle_mle,
+    score_and_curvature,
 )
 from .parametric import (
     ParametricFitResult,

@@ -13,6 +13,7 @@ import sys
 
 from .dataio import (
     RunConfig,
+    _read_json_object,
     run_bandwidth_grid,
     run_fit,
     run_iia,
@@ -57,30 +58,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("bandwidth-grid",
                             help="bandwidths over a grid of scale factors")
     common(p_grid)
-    p_grid.add_argument("--lo", type=float, help="lowest scale (default 0.4)")
-    p_grid.add_argument("--hi", type=float, help="highest scale (default 1.0)")
-    p_grid.add_argument("--steps", type=int, help="number of scales (default 7)")
+    p_grid.add_argument("--lo", type=float, help="lowest scale (overrides grid.lo)")
+    p_grid.add_argument("--hi", type=float, help="highest scale (overrides grid.hi)")
+    p_grid.add_argument("--steps", type=int,
+                        help="number of scales (overrides grid.steps)")
     return parser
 
 
+def _merge(d: dict, key: str, values: dict):
+    """``values`` over the section ``d[key]``, unless that is not an object."""
+    section = d.get(key)
+    if section is None or isinstance(section, dict):
+        d[key] = {**(section or {}), **values}
+
+
 def _load_config(args) -> RunConfig:
-    config = RunConfig.load(args.config)
+    """The config file with the flags merged in, read as one config."""
+    d = _read_json_object(args.config)
     if args.seed is not None:
-        config.seed = args.seed
-        if config.simulate is not None:
-            config.simulate = {**config.simulate, "seed": args.seed}
+        d["seed"] = args.seed
+        if d.get("simulate") is not None:
+            _merge(d, "simulate", {"seed": args.seed})
     if args.out is not None:
-        config.out = args.out
+        d["out"] = args.out
     if getattr(args, "scale", None) is not None:
-        config.kernel_scale = args.scale
-        config.bandwidths = None
+        _merge(d, "kernel", {"scale": args.scale, "bandwidths": None})
     if args.command == "bandwidth-grid":
-        grid = dict(config.grid or {})
-        for key in ("lo", "hi", "steps"):
-            if getattr(args, key, None) is not None:
-                grid[key] = getattr(args, key)
-        config.grid = grid
-    return config
+        _merge(d, "grid", {key: getattr(args, key) for key in ("lo", "hi", "steps")
+                           if getattr(args, key) is not None})
+    return RunConfig.from_dict(d)
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Multinomial logit probability model and its analytic derivatives.
+"""Multinomial logit probability model: data, predictors, probabilities.
 
 Categories are labelled ``1..K``.  One category (by default ``K``) is the
 reference: its coefficient row and smooth function are structurally zero
@@ -139,34 +139,6 @@ def softmax_probabilities(eta) -> np.ndarray:
     shifted = eta - eta.max(axis=-1, keepdims=True)
     w = np.exp(shifted)
     return w / w.sum(axis=-1, keepdims=True)
-
-
-def log_likelihood_contribution(eta, y: int) -> float:
-    """Log-likelihood of one observation: eta_y - log sum_j exp(eta_j)."""
-    eta = _check_eta(eta)
-    if eta.ndim != 1:
-        raise ShapeError("expected a single predictor vector")
-    if not 1 <= y <= eta.shape[0]:
-        raise ShapeError(f"category {y} outside 1..{eta.shape[0]}")
-    m = eta.max()
-    return float(eta[y - 1] - m - np.log(np.exp(eta - m).sum()))
-
-
-def score_and_curvature(eta, y: int, k: int) -> tuple:
-    """First and second derivative of the log-likelihood in eta_k.
-
-    Returns ``(I{y==k} - p_k, -p_k * (1 - p_k))`` with
-    ``p_k = exp(eta_k) / sum_j exp(eta_j)``.  The curvature is strictly
-    negative for finite predictors.
-    """
-    eta = _check_eta(eta)
-    if eta.ndim != 1:
-        raise ShapeError("expected a single predictor vector")
-    K = eta.shape[0]
-    if not 1 <= y <= K or not 1 <= k <= K:
-        raise ShapeError(f"category index outside 1..{K}")
-    p = softmax_probabilities(eta)[k - 1]
-    return float((y == k) - p), float(-p * (1.0 - p))
 
 
 def linear_predictors(beta, m, x, reference: int) -> np.ndarray:

@@ -21,15 +21,13 @@ import numpy as np
 
 from . import __version__
 from .core import Dataset
-from .exceptions import ConfigError, EmptyDatasetError, ShapeError, config_number
+from .exceptions import ConfigError, EmptyDatasetError, ShapeError
 from .iia import hausman_mcfadden, iia_all_permutations, small_hsiao
 from .kernels import KernelConfig, bandwidth_from_scale, bandwidth_grid
 from .parametric import fit_parametric
 from .profile import SemiparametricFitResult, SmoothState, fit_semiparametric, predict_surface
+from .schema import COLUMN, GRID, IIA, RUN, SURFACE, walk
 from .synthesis import DGPSpec, simulate
-
-ROLES = ("response", "parametric", "smooth", "ignore")
-TRANSFORM_KINDS = ("none", "log", "divide-by", "square-augment")
 
 
 def fmt(v) -> str:
@@ -37,12 +35,17 @@ def fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def _section(d: dict, key: str):
-    """``d[key]`` when it is a JSON object; None when it is absent."""
-    value = d.get(key)
-    if value is not None and not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
-    return value
+def _read_json_object(path) -> dict:
+    """The JSON object in the file at ``path``; a ConfigError naming the
+    file when it holds anything else."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            d = json.load(fh)
+        except ValueError as err:     # JSONDecodeError or UnicodeDecodeError
+            raise ConfigError(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return d
 
 
 # --------------------------------------------------------------------------
@@ -56,16 +59,9 @@ class ColumnSpec:
     transforms: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.role not in ROLES:
-            raise ConfigError(f"unknown column role {self.role!r} for {self.name!r}")
-        for tr in self.transforms:
-            kind = tr.get("kind")
-            if kind not in TRANSFORM_KINDS:
-                raise ConfigError(f"unknown transform {kind!r} on {self.name!r}")
-            if kind == "divide-by":
-                by = tr.get("by")
-                if not isinstance(by, (int, float)) or not by or not math.isfinite(by):
-                    raise ConfigError(f"divide-by needs a nonzero 'by' on {self.name!r}")
+        spec = walk(COLUMN, {"role": self.role, "transforms": self.transforms},
+                    f"columns.{self.name}")
+        self.role, self.transforms = spec["role"], spec["transforms"]
 
 
 @dataclass
@@ -88,71 +84,27 @@ class RunConfig:
     grid: dict | None = None                        # lo, hi, steps
 
     def __post_init__(self):
-        if self.model not in ("parametric", "semiparametric"):
-            raise ConfigError(f"unknown model kind {self.model!r}")
         roles = [c.role for c in self.columns]
         if self.columns and roles.count("response") != 1:
             raise ConfigError("need exactly one response column")
-        if self.kernel_scale is not None and self.kernel_scale <= 0:
-            raise ConfigError("kernel scale must be positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        cols = []
-        for name, spec in (_section(d, "columns") or {}).items():
-            if isinstance(spec, str):
-                spec = {"role": spec}
-            if not isinstance(spec, dict):
-                raise ConfigError(f"column {name!r} needs a role or a JSON object")
-            transforms = spec.get("transforms", [])
-            if isinstance(transforms, dict):
-                transforms = [transforms]
-            cols.append(ColumnSpec(name=name, role=spec.get("role", "ignore"),
-                                   transforms=transforms))
-        kernel = _section(d, "kernel") or {}
-        bandwidths = kernel.get("bandwidths")
-        if bandwidths is not None:
-            if not isinstance(bandwidths, list):
-                raise ConfigError(f"kernel.bandwidths must be a list, got {bandwidths!r}")
-            bandwidths = [config_number(h, "kernel.bandwidths") for h in bandwidths]
-        fit = dict(_section(d, "fit") or {})
-        for key, kind in (("tol", float), ("max_iter", int)):
-            if key in fit:
-                fit[key] = config_number(fit[key], f"fit.{key}", kind)
-        return cls(
-            columns=cols,
-            input_path=d.get("input"),
-            simulate=_section(d, "simulate"),
-            model=d.get("model", "parametric"),
-            kernel_scale=config_number(kernel.get("scale", 0.5), "kernel.scale"),
-            bandwidths=bandwidths,
-            fit_options=fit,
-            reference=d.get("reference"),
-            seed=config_number(d.get("seed", 0), "seed", int),
-            out=d.get("out", "run-output"),
-            surface=_section(d, "surface"),
-            iia=_section(d, "iia"),
-            impute={name: config_number(v, f"impute.{name}")
-                    for name, v in (_section(d, "impute") or {}).items()},
-            grid=_section(d, "grid"),
-        )
+        """The config ``d``, read through the config table; values it does
+        not give keep the defaults above."""
+        c = walk(RUN, d, "")
+        values = dict(
+            columns=[ColumnSpec(name, spec["role"], spec["transforms"])
+                     for name, spec in c["columns"].items()],
+            input_path=c.get("input"), kernel_scale=c["kernel"].get("scale"),
+            bandwidths=c["kernel"].get("bandwidths"), fit_options=c["fit"],
+            **{key: c.get(key) for key in ("simulate", "model", "reference", "seed",
+                                          "out", "surface", "iia", "impute", "grid")})
+        return cls(**{k: v for k, v in values.items() if v is not None})
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                d = json.load(fh)
-            except ValueError as err:     # JSONDecodeError or UnicodeDecodeError
-                raise ConfigError(f"{path} is not valid JSON: {err}") from None
-        if not isinstance(d, dict):
-            raise ConfigError(f"{path} must hold a JSON object")
-        return cls.from_dict(d)
-
-    def parametric_names(self) -> list:
-        return [c.name for c in self.columns if c.role == "parametric"]
-
-    def smooth_names(self) -> list:
-        return [c.name for c in self.columns if c.role == "smooth"]
+        return cls.from_dict(_read_json_object(path))
 
 
 # --------------------------------------------------------------------------
@@ -384,7 +336,6 @@ def _resolve_reference(config: RunConfig, data: Dataset):
         if data.labels and ref in data.labels:
             return data.labels.index(ref) + 1
         raise ConfigError(f"reference label {ref!r} not among {data.labels}")
-    ref = config_number(ref, "reference", int)
     if not 1 <= ref <= data.n_categories:
         raise ConfigError(f"reference {ref} outside 1..{data.n_categories}")
     return ref
@@ -393,10 +344,7 @@ def _resolve_reference(config: RunConfig, data: Dataset):
 def _obtain_dataset(config: RunConfig):
     """Dataset plus ingest report (None when simulated) and term names."""
     if config.simulate is not None:
-        spec_dict = dict(config.simulate)
-        spec_dict.setdefault("seed", config.seed)
-        spec = DGPSpec.from_dict(spec_dict)
-        data = simulate(spec)
+        data = simulate(DGPSpec.from_dict({"seed": config.seed, **config.simulate}))
         return (data, None) + _default_names(data)
     if not config.input_path:
         raise ConfigError("config needs either 'input' or 'simulate'")
@@ -498,30 +446,31 @@ def _write_fit_state(path, data: Dataset, fit: SemiparametricFitResult,
 
 def load_fit_state(path):
     """Rebuild (data, fit result) from a fit_state.json artifact."""
-    with open(path, "r", encoding="utf-8") as fh:
-        s = json.load(fh)
-    n = len(s["y"])
-    Km1 = int(s["n_categories"]) - 1
+    s = _read_json_object(path)
 
     def grid_array(rows, n_rows):
         out = np.array([[float(v) for v in row] for row in rows], dtype=float)
         return out.reshape(n_rows, -1) if out.size else np.zeros((n_rows, 0))
 
-    data = Dataset(y=np.array(s["y"]), x=grid_array(s["x"], n),
-                   t=grid_array(s["t"], n),
-                   n_categories=int(s["n_categories"]),
-                   labels=tuple(s.get("labels") or ()))
-    beta = grid_array(s["beta"], Km1)
-    m = grid_array(s["m"], Km1)
-    kernel = KernelConfig(bandwidths=[float(h) for h in s["bandwidths"]])
-    smooth = SmoothState(beta=beta, m=m, reference=int(s["reference"]))
-    options = {k: (float(v) if isinstance(v, str) else v)
-               for k, v in s.get("options", {}).items()}
+    try:
+        n, Km1 = len(s["y"]), int(s["n_categories"]) - 1
+        data = Dataset(y=np.array(s["y"]), x=grid_array(s["x"], n),
+                       t=grid_array(s["t"], n),
+                       n_categories=int(s["n_categories"]),
+                       labels=tuple(s.get("labels") or ()))
+        kernel = KernelConfig(bandwidths=[float(h) for h in s["bandwidths"]])
+        smooth = SmoothState(beta=grid_array(s["beta"], Km1),
+                             m=grid_array(s["m"], Km1), reference=int(s["reference"]))
+        options = {k: (float(v) if isinstance(v, str) else v)
+                   for k, v in s.get("options", {}).items()}
+        converged = bool(s["converged"])
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path} is not a fit state: {err!r}") from None
     fit = SemiparametricFitResult(
         beta=smooth.beta, beta_se=np.full_like(smooth.beta, np.nan),
         smooth=smooth, loglik=np.nan, loglik_trace=[],
-        converged=bool(s["converged"]), iterations=0, kernel=kernel,
-        reference=int(s["reference"]), categories=smooth.categories(),
+        converged=converged, iterations=0, kernel=kernel,
+        reference=smooth.reference, categories=smooth.categories(),
         options=options)
     return data, fit, s.get("x_names", []), s.get("t_names", [])
 
@@ -589,9 +538,7 @@ def run_fit(config: RunConfig) -> int:
 
 def run_surface(config: RunConfig, fit_dir=None) -> int:
     """Probability surface over a grid of the two smooth covariates."""
-    request = config.surface
-    if not request:
-        raise ConfigError("surface requires a 'surface' block in the config")
+    request = walk(SURFACE, config.surface, "surface")
     fit_dir = Path(fit_dir or config.out)
     state_path = fit_dir / "fit_state.json"
     if not state_path.exists():
@@ -602,42 +549,21 @@ def run_surface(config: RunConfig, fit_dir=None) -> int:
     if data.q != 2:
         raise ConfigError("surface export needs exactly two smooth covariates")
 
-    axes = request.get("axes")
-    if not isinstance(axes, list) or len(axes) != 2:
-        raise ConfigError("surface.axes must list the two smooth covariates")
-    order, grids = [], []
-    for i, ax in enumerate(axes):
-        if not isinstance(ax, dict):
-            raise ConfigError(f"surface.axes[{i}] must be a JSON object, got {ax!r}")
-        name = ax.get("name")
-        if name not in t_names:
-            raise ConfigError(f"axis {name!r} is not a smooth covariate "
-                              f"(have {t_names})")
-        what = f"surface.axes[{i}]"
-        lo = config_number(ax.get("lo", 0.0), f"{what}.lo")
-        hi = config_number(ax.get("hi", 1.0), f"{what}.hi")
-        steps = config_number(ax.get("steps", 0), f"{what}.steps", int)
-        if steps < 2:
-            raise ConfigError("each axis needs steps >= 2")
-        if not lo < hi:
-            raise ConfigError("each axis needs lo < hi")
-        order.append(t_names.index(name))
-        grids.append(np.linspace(lo, hi, steps))
-    if set(order) != {0, 1}:
-        raise ConfigError("surface axes must name both smooth covariates")
+    axes = request["axes"]
+    order = [t_names.index(ax["name"]) if ax["name"] in t_names else -1 for ax in axes]
+    if sorted(order) != [0, 1]:
+        raise ConfigError(f"surface axes {[ax['name'] for ax in axes]} must name "
+                          f"both smooth covariates {t_names}")
+    grids = [np.linspace(ax["lo"], ax["hi"], ax["steps"]) for ax in axes]
 
-    fixed = _section(request, "fixed") or {}
-    x_fixed = np.zeros(data.p)
-    for j, name in enumerate(x_names):
-        if name not in fixed:
-            raise ConfigError(f"surface.fixed must give a value for {name!r}")
-        x_fixed[j] = config_number(fixed[name], f"surface.fixed.{name}")
+    fixed = request["fixed"]
+    missing = [name for name in x_names if name not in fixed]
+    if missing:
+        raise ConfigError(f"surface.fixed must give a value for {missing}")
+    x_fixed = np.array([fixed[name] for name in x_names], dtype=float)
 
     K = data.n_categories
     cats = request.get("categories") or list(range(1, K + 1))
-    if not isinstance(cats, list):
-        raise ConfigError(f"surface.categories must be a list, got {cats!r}")
-    cats = [config_number(k, "surface.categories", int) for k in cats]
     if not all(1 <= k <= K for k in cats):
         raise ConfigError(f"surface.categories must lie in 1..{K}, got {cats}")
 
@@ -657,21 +583,15 @@ def run_surface(config: RunConfig, fit_dir=None) -> int:
 
 def run_iia(config: RunConfig) -> int:
     """IIA tests for every eligible dropped category; writes a table."""
+    request = walk(IIA, config.iia, "iia")
+    method, drop = request["method"], request.get("drop")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     data, report, _, _ = _obtain_dataset(config)
     reference = _resolve_reference(config, data)
-    request = config.iia or {}
-    method = request.get("method", "both")
     methods = {"hausman-mcfadden": ["HausmanMcFadden"],
                "small-hsiao": ["SmallHsiao"],
-               "both": ["HausmanMcFadden", "SmallHsiao"]}.get(method)
-    if methods is None:
-        raise ConfigError(f"unknown IIA method {method!r}")
-
-    drop = request.get("drop")
-    if drop is not None:
-        drop = config_number(drop, "iia.drop", int)
+               "both": ["HausmanMcFadden", "SmallHsiao"]}[method]
     results = []
     for m in methods:
         if drop is None:
@@ -697,17 +617,14 @@ def run_iia(config: RunConfig) -> int:
 
 def run_bandwidth_grid(config: RunConfig) -> int:
     """Bandwidth grid over the smooth covariates; writes scale table."""
+    grid = walk(GRID, config.grid, "grid")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     data, _, _, t_names = _obtain_dataset(config)
     if data.q == 0:
         raise ConfigError("bandwidth grid needs at least one smooth covariate")
-    grid_cfg = config.grid or {}
-    lo = config_number(grid_cfg.get("lo", 0.4), "grid.lo")
-    hi = config_number(grid_cfg.get("hi", 1.0), "grid.hi")
-    steps = config_number(grid_cfg.get("steps", 7), "grid.steps", int)
     _write_csv(out / "bandwidth_grid.csv",
                ["scale"] + [f"h_{name}" for name in t_names],
                ([fmt(kc.scale)] + [fmt(h) for h in kc.bandwidths]
-                for kc in bandwidth_grid(data.t, lo, hi, steps)))
+                for kc in bandwidth_grid(data.t, grid["lo"], grid["hi"], grid["steps"])))
     return 0

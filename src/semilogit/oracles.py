@@ -10,7 +10,9 @@ The pointwise references of the profile fitter live here too: the local
 score, one local Newton step and the least-favourable gradient at a single
 query point, each summed directly over the observations with the
 normalised kernel weights and the full softmax, where the fitter runs
-blocked passes over all observation points at once.
+blocked passes over all observation points at once.  So do the scalar
+log-likelihood of one observation and its analytic derivatives in one
+predictor, which the tests check the vectorised core against.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from .core import (
     STEP_CAP,
     Dataset,
+    _check_eta,
     linear_predictors,
     nonreference_categories,
     softmax_probabilities,
@@ -29,10 +32,39 @@ from .exceptions import (
     NumericalFailureError,
     OracleFailureError,
     SeparationError,
+    ShapeError,
 )
 from .kernels import KernelConfig, kernel_weight, kernel_weights
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def log_likelihood_contribution(eta, y: int) -> float:
+    """Log-likelihood of one observation: eta_y - log sum_j exp(eta_j)."""
+    eta = _check_eta(eta)
+    if eta.ndim != 1:
+        raise ShapeError("expected a single predictor vector")
+    if not 1 <= y <= eta.shape[0]:
+        raise ShapeError(f"category {y} outside 1..{eta.shape[0]}")
+    m = eta.max()
+    return float(eta[y - 1] - m - np.log(np.exp(eta - m).sum()))
+
+
+def score_and_curvature(eta, y: int, k: int) -> tuple:
+    """First and second derivative of the log-likelihood in eta_k.
+
+    Returns ``(I{y==k} - p_k, -p_k * (1 - p_k))`` with
+    ``p_k = exp(eta_k) / sum_j exp(eta_j)``.  The curvature is strictly
+    negative for finite predictors.
+    """
+    eta = _check_eta(eta)
+    if eta.ndim != 1:
+        raise ShapeError("expected a single predictor vector")
+    K = eta.shape[0]
+    if not 1 <= y <= K or not 1 <= k <= K:
+        raise ShapeError(f"category index outside 1..{K}")
+    p = softmax_probabilities(eta)[k - 1]
+    return float((y == k) - p), float(-p * (1.0 - p))
 
 
 def golden_section(f, a: float, b: float, tol: float = 1e-12,

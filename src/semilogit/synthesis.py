@@ -8,62 +8,13 @@ never perturbs the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import Dataset, softmax_probabilities
-from .exceptions import ConfigError, config_number
-
-SMOOTH_KINDS = ("zero", "linear", "sine", "ridge-interaction")
-LAW_KINDS = ("uniform", "normal", "bernoulli", "lognormal")
-
-
-def _require(cond, msg):
-    if not cond:
-        raise ConfigError(msg)
-
-
-def _param(desc: dict, key: str, default: float) -> float:
-    """``desc[key]`` (``default`` when absent) as a float."""
-    return config_number(desc.get(key, default), f"{desc['kind']} {key}")
-
-
-def validate_smooth(desc: dict, q: int) -> dict:
-    kind = desc.get("kind") if isinstance(desc, dict) else None
-    _require(kind in SMOOTH_KINDS, f"unknown smooth kind {kind!r}")
-    if kind == "linear":
-        slopes = [config_number(v, "linear slopes")
-                  for v in np.atleast_1d(desc.get("slopes", 0.0)).tolist()]
-        _require(np.all(np.isfinite(slopes)), "linear slopes must be finite")
-        _require(len(slopes) in (1, q), f"linear slopes must have length 1 or {q}")
-        _require(np.isfinite(_param(desc, "intercept", 0.0)), "intercept must be finite")
-    elif kind == "sine":
-        _require(np.isfinite(_param(desc, "amplitude", 1.0)), "amplitude must be finite")
-        _require(np.isfinite(_param(desc, "frequency", 1.0)), "frequency must be finite")
-    elif kind == "ridge-interaction":
-        _require(q >= 2, "ridge-interaction needs at least two smooth covariates")
-        _require(np.isfinite(_param(desc, "a", 1.0)), "ridge coefficient must be finite")
-    return dict(desc)
-
-
-def validate_law(desc: dict) -> dict:
-    kind = desc.get("kind") if isinstance(desc, dict) else None
-    _require(kind in LAW_KINDS, f"unknown covariate law {kind!r}")
-    if kind == "uniform":
-        lo, hi = _param(desc, "lo", 0.0), _param(desc, "hi", 1.0)
-        _require(np.isfinite(lo) and np.isfinite(hi) and lo < hi,
-                 f"uniform needs lo < hi, got ({lo}, {hi})")
-    elif kind == "normal":
-        _require(np.isfinite(_param(desc, "mu", 0.0)), "normal mu must be finite")
-        _require(_param(desc, "sd", 1.0) > 0, "normal sd must be positive")
-    elif kind == "bernoulli":
-        pr = _param(desc, "p", 0.5)
-        _require(0.0 <= pr <= 1.0, f"bernoulli p must be in [0, 1], got {pr}")
-    elif kind == "lognormal":
-        _require(np.isfinite(_param(desc, "mu", 0.0)), "lognormal mu must be finite")
-        _require(_param(desc, "sigma", 1.0) > 0, "lognormal sigma must be positive")
-    return dict(desc)
+from .exceptions import ConfigError
+from .schema import SIMULATE, SMOOTH, walk
 
 
 @dataclass(frozen=True)
@@ -73,37 +24,38 @@ class DGPSpec:
     ``beta`` is the (K-1, p) coefficient matrix; ``smooth`` holds one
     descriptor per non-reference category (category K is the reference,
     with zero coefficients and zero smooth function); ``x_laws`` and
-    ``t_laws`` give one marginal law per covariate column.
+    ``t_laws`` give one marginal law per covariate column.  Every field is
+    read through the ``simulate`` entry of the config table, which gives
+    the defaults; no smooth descriptors mean zero smooth functions.
     """
 
     n_categories: int
     n: int
     seed: int
-    beta: np.ndarray = field(default_factory=lambda: np.zeros((1, 0)))
-    smooth: tuple = ()
-    x_laws: tuple = ()
-    t_laws: tuple = ()
+    beta: np.ndarray = None
+    smooth: tuple = None
+    x_laws: tuple = None
+    t_laws: tuple = None
 
     def __post_init__(self):
-        beta = np.atleast_2d(np.asarray(self.beta, dtype=np.float64))
-        if beta.size == 0:
-            beta = beta.reshape(self.n_categories - 1, 0)
-        object.__setattr__(self, "beta", beta)
-        _require(self.n_categories >= 2, "need K >= 2")
-        _require(self.n >= 1, "need n >= 1")
-        _require(beta.shape[0] == self.n_categories - 1,
-                 f"beta must have {self.n_categories - 1} rows")
-        _require(np.all(np.isfinite(beta)), "beta must be finite")
-        _require(beta.shape[1] == len(self.x_laws),
-                 "one x law per parametric covariate column")
-        smooth = tuple(self.smooth) or tuple({"kind": "zero"}
-                                             for _ in range(self.n_categories - 1))
-        _require(len(smooth) == self.n_categories - 1,
-                 "one smooth descriptor per non-reference category")
-        q = len(self.t_laws)
-        object.__setattr__(self, "smooth", tuple(validate_smooth(s, q) for s in smooth))
-        object.__setattr__(self, "x_laws", tuple(validate_law(l) for l in self.x_laws))
-        object.__setattr__(self, "t_laws", tuple(validate_law(l) for l in self.t_laws))
+        spec = walk(SIMULATE, vars(self), "simulate")
+        K, beta, q = spec["n_categories"], spec["beta"], len(spec["t_laws"])
+        spec["beta"] = beta = beta.reshape(K - 1, 0) if beta.size == 0 else beta
+        spec["smooth"] = smooth = spec["smooth"] or [{"kind": "zero"}] * (K - 1)
+        if beta.shape != (K - 1, len(spec["x_laws"])):
+            raise ConfigError(f"simulate.beta is {beta.shape}: it needs a row per "
+                              f"non-reference category and a column per x law")
+        if len(smooth) != K - 1:
+            raise ConfigError(f"simulate.smooth needs {K - 1} entries, one per "
+                              f"non-reference category, got {len(smooth)}")
+        for k, desc in enumerate(smooth):
+            if desc["kind"] == "linear" and len(desc["slopes"]) not in (1, q):
+                raise ConfigError(f"simulate.smooth[{k}].slopes needs length 1 or {q}")
+            if q < {"sine": 1, "ridge-interaction": 2}.get(desc["kind"], 0):
+                raise ConfigError(f"simulate.smooth[{k}] ({desc['kind']}) needs "
+                                  f"more t laws than {q}")
+        for name, value in spec.items():
+            object.__setattr__(self, name, tuple(value) if isinstance(value, list) else value)
 
     @property
     def p(self) -> int:
@@ -122,49 +74,33 @@ class DGPSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DGPSpec":
-        sizes = ("n_categories", "n", "seed")
-        missing = [key for key in sizes if key not in d]
-        _require(not missing, f"simulate block lacks {', '.join(missing)}")
-        try:
-            K, n, seed = (config_number(d[key], key, int) for key in sizes)
-        except ConfigError:
-            raise ConfigError(f"simulate {', '.join(sizes)} must be integers, got "
-                              f"{[d[key] for key in sizes]}") from None
-        return cls(n_categories=K, n=n, seed=seed, beta=np.asarray(d.get("beta", [])),
-                   smooth=tuple(d.get("smooth", ())),
-                   x_laws=tuple(d.get("x_laws", ())),
-                   t_laws=tuple(d.get("t_laws", ())))
+        return cls(**{f.name: d.get(f.name) for f in fields(cls)})
 
 
 def evaluate_smooth(desc: dict, T: np.ndarray) -> np.ndarray:
     """True smooth-function values at the rows of T."""
     T = np.atleast_2d(np.asarray(T, dtype=np.float64))
+    desc = walk(SMOOTH, desc, "smooth")
     kind = desc["kind"]
     if kind == "zero":
         return np.zeros(T.shape[0])
     if kind == "linear":
-        slopes = np.broadcast_to(
-            np.atleast_1d(np.asarray(desc.get("slopes", 0.0), dtype=float)),
-            (T.shape[1],))
-        return desc.get("intercept", 0.0) + T @ slopes
+        slopes = np.broadcast_to(np.asarray(desc["slopes"], dtype=float), (T.shape[1],))
+        return desc["intercept"] + T @ slopes
     if kind == "sine":
-        return desc.get("amplitude", 1.0) * np.sin(desc.get("frequency", 1.0) * T[:, 0])
-    if kind == "ridge-interaction":
-        return desc.get("a", 1.0) * T[:, 0] * T[:, 1]
-    raise ConfigError(f"unknown smooth kind {kind!r}")
+        return desc["amplitude"] * np.sin(desc["frequency"] * T[:, 0])
+    return desc["a"] * T[:, 0] * T[:, 1]
 
 
 def _draw_column(law: dict, n: int, rng: np.random.Generator) -> np.ndarray:
     kind = law["kind"]
     if kind == "uniform":
-        return rng.uniform(law.get("lo", 0.0), law.get("hi", 1.0), size=n)
+        return rng.uniform(law["lo"], law["hi"], size=n)
     if kind == "normal":
-        return rng.normal(law.get("mu", 0.0), law.get("sd", 1.0), size=n)
+        return rng.normal(law["mu"], law["sd"], size=n)
     if kind == "bernoulli":
-        return (rng.random(n) < law.get("p", 0.5)).astype(np.float64)
-    if kind == "lognormal":
-        return rng.lognormal(law.get("mu", 0.0), law.get("sigma", 1.0), size=n)
-    raise ConfigError(f"unknown covariate law {kind!r}")
+        return (rng.random(n) < law["p"]).astype(np.float64)
+    return rng.lognormal(law["mu"], law["sigma"], size=n)
 
 
 def true_probabilities(spec: DGPSpec, x: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -71,38 +71,53 @@ class TestFitCommand:
           "columns": {"y": "response",
                       "x1": {"role": "parametric",
                              "transforms": {"kind": "divide-by", "by": "ten"}}}},
-         "divide-by needs a nonzero 'by'"),
+         "columns.x1.transforms[0].by must be a number"),
         ({"seed": "abc"}, "seed must be a number"),
         ({"kernel": {"scale": "x"}}, "kernel.scale must be a number"),
         ({"fit": {"max_iter": "abc"}}, "fit.max_iter must be a number"),
         ({"fit": {"tol": "abc"}}, "fit.tol must be a number"),
         ({"impute": {"x1": "abc"}}, "impute.x1 must be a number"),
-        ({"simulate": {"n_categories": 2, "seed": 7}}, "simulate block lacks n"),
-        ({"simulate": {"n": 200}}, "simulate block lacks n_categories"),
+        ({"simulate": {"n_categories": 2, "seed": 7}}, "simulate.n is missing"),
+        ({"simulate": {"n": 200}}, "simulate.n_categories is missing"),
         ({"simulate": {"n_categories": 2, "n": "many", "seed": 7}},
-         "must be integers"),
+         "simulate.n must be a number"),
         ({"kernel": "x"}, "kernel must be a JSON object"),
         ({"fit": "x"}, "fit must be a JSON object"),
-        ({"kernel": {"bandwidths": ["a", "b"]}}, "kernel.bandwidths must be a number"),
+        ({"kernel": {"bandwidths": ["a", "b"]}}, "kernel.bandwidths[0] must be a number"),
         ({"simulate": {"n_categories": 2, "n": 200, "seed": 7, "beta": [[0.6]],
                        "x_laws": [{"kind": "normal", "sd": "x"}]}},
-         "normal sd must be a number"),
+         "simulate.x_laws[0].sd must be a number"),
         ({"reference": 2.5}, "reference must be an integer"),
         ({"seed": 2.5}, "seed must be an integer"),
         ({"fit": {"max_iter": 3.7}}, "fit.max_iter must be an integer"),
-        ({"simulate": {"n_categories": 2.9, "n": 200, "seed": 7}}, "must be integers"),
-        ({"input": "data.csv", "columns": {"y": 5}},
-         "column 'y' needs a role or a JSON object"),
+        ({"simulate": {"n_categories": 2.9, "n": 200, "seed": 7}},
+         "simulate.n_categories must be an integer"),
+        ({"input": "data.csv", "columns": {"y": 5}}, "columns.y.role must be one of"),
         ({"kernel": {"bandwidths": 0.3}}, "kernel.bandwidths must be a list"),
         ({"simulate": {"n_categories": 2, "n": 200, "seed": 7, "beta": [[0.6]],
-                       "x_laws": ["normal"]}}, "unknown covariate law"),
+                       "x_laws": ["normal"]}}, "simulate.x_laws[0] must be a JSON object"),
+        ({"input": 5}, "input must be a string"),
+        ({"input": "data.csv",
+          "columns": {"y": "response", "x1": {"role": "parametric", "transforms": ["log"]}}},
+         "columns.x1.transforms[0] must be a JSON object"),
+        ({"kernel": {"scale": -1}}, "kernel.scale must be > 0"),
+        ({"simulate": {"n_categories": 2, "n": 200, "seed": 7, "beta": "x"}},
+         "simulate.beta must be a matrix of finite numbers"),
+        ({"simulate": {"n_categories": 2, "n": 1e308, "seed": 7}},
+         "simulate.n must be within int64"),
+        ({"simulate": {"n_categories": 2, "n": 200, "seed": -1}},
+         "simulate.seed must be >= 0"),
+        ({"simulate": {"n_categories": 2, "n": 200, "seed": 7, "t_laws": {}}},
+         "simulate.t_laws must be a list"),
     ], ids=["not-json", "not-an-object", "divide-by-text", "seed-text",
             "scale-text", "max-iter-text", "tol-text", "impute-text",
             "simulate-without-n", "simulate-without-k", "simulate-n-text",
             "kernel-text", "fit-text", "bandwidths-text", "law-sd-text",
             "reference-fraction", "seed-fraction", "max-iter-fraction",
             "simulate-k-fraction", "column-spec-number", "bandwidths-scalar",
-            "law-not-an-object"])
+            "law-not-an-object", "input-number", "transform-text",
+            "scale-negative", "beta-text", "simulate-n-huge",
+            "simulate-seed-negative", "t-laws-object"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, config, message):
         path = tmp_path / "c.json"
         if isinstance(config, str):
@@ -124,12 +139,18 @@ class TestFitCommand:
                                          {"name": "t2", "steps": 3}],
                                 "fixed": {"x1": 1.0}, "categories": 1},
          "surface.categories must be a list"),
+        ("surface", "surface", {"axes": [{"name": "t1", "steps": 1e308},
+                                         {"name": "t2", "steps": 3}],
+                                "fixed": {"x1": 1.0}},
+         "surface.axes[0].steps must be within int64"),
         ("iia-test", "iia", {"drop": "x"}, "iia.drop must be a number"),
         ("iia-test", "iia", {"drop": 1.5}, "iia.drop must be an integer"),
+        ("iia-test", "iia", {"method": ["both"]}, "iia.method must be one of"),
         ("bandwidth-grid", "grid", {"lo": "x"}, "grid.lo must be a number"),
+        ("bandwidth-grid", "grid", {"steps": 1e308}, "grid.steps must be within int64"),
     ], ids=["surface-steps-text", "surface-axis-text", "surface-categories-number",
-            "iia-drop-text", "iia-drop-fraction",
-            "grid-lo-text"])
+            "surface-steps-huge", "iia-drop-text", "iia-drop-fraction",
+            "iia-method-list", "grid-lo-text", "grid-steps-huge"])
     def test_malformed_subcommand_config_exits_2(self, tmp_path, capsys, command,
                                                  section, value, message):
         cfg = copy.deepcopy(SUBCOMMAND_CONFIGS[command])
@@ -142,6 +163,19 @@ class TestFitCommand:
             args += ["--fit-dir", str(tmp_path / "f")]
         assert main([command] + args) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("fit", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("iia-test", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("fit", ["--scale", "-1"], "kernel.scale must be > 0, got -1"),
+        ("fit", ["--scale", "nan"], "kernel.scale must be finite, got nan"),
+    ], ids=["fit-seed-negative", "iia-seed-negative", "scale-negative", "scale-nan"])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, command, flags, message):
+        path = write_config(tmp_path / "c.json", extra=SUBCOMMAND_CONFIGS["iia-test"])
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")] + flags)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.txt").exists()
 
 
 Q2_SIMULATE = {
@@ -244,6 +278,19 @@ class TestSurfaceCommand:
         assert rc == 2
         assert "surface.categories must lie in 1..2" in capsys.readouterr().err
         assert not (tmp_path / "s2" / "surface.csv").exists()
+
+    @pytest.mark.parametrize("state", ['{"y": [1, 2]}', '{"beta": ', "[1, 2]"],
+                             ids=["missing-key", "not-json", "json-list"])
+    def test_malformed_fit_state_exits_2(self, tmp_path, capsys, state):
+        cfg = write_config(tmp_path / "c.json", extra={"simulate": Q2_SIMULATE, "surface": {
+            "axes": [{"name": "t1", "steps": 3}, {"name": "t2", "steps": 3}],
+            "fixed": {"x1": 1.0}}})
+        (tmp_path / "f").mkdir()
+        (tmp_path / "f" / "fit_state.json").write_text(state)
+        rc = main(["surface", "--config", str(cfg), "--fit-dir", str(tmp_path / "f"),
+                   "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert str(tmp_path / "f" / "fit_state.json") in capsys.readouterr().err
 
     def test_surface_without_fit_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
