@@ -12,8 +12,8 @@ import argparse
 import sys
 
 from .dataio import (
-    RunConfig,
     _read_json_object,
+    read_config,
     run_bandwidth_grid,
     run_fit,
     run_iia,
@@ -72,7 +72,7 @@ def _merge(d: dict, key: str, values: dict):
         d[key] = {**(section or {}), **values}
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args) -> dict:
     """The config file with the flags merged in, read as one config."""
     d = _read_json_object(args.config)
     if args.seed is not None:
@@ -86,7 +86,7 @@ def _load_config(args) -> RunConfig:
     if args.command == "bandwidth-grid":
         _merge(d, "grid", {key: getattr(args, key) for key in ("lo", "hi", "steps")
                            if getattr(args, key) is not None})
-    return RunConfig.from_dict(d)
+    return read_config(d)
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .iia import hausman_mcfadden, iia_all_permutations, small_hsiao
 from .kernels import KernelConfig, bandwidth_from_scale, bandwidth_grid
 from .parametric import fit_parametric
 from .profile import SemiparametricFitResult, SmoothState, fit_semiparametric, predict_surface
-from .schema import COLUMN, GRID, IIA, RUN, SURFACE, walk
+from .schema import GRID, IIA, RUN, SURFACE, walk
 from .synthesis import DGPSpec, simulate
 
 
@@ -52,59 +52,14 @@ def _read_json_object(path) -> dict:
 # configuration
 # --------------------------------------------------------------------------
 
-@dataclass
-class ColumnSpec:
-    name: str
-    role: str
-    transforms: list = field(default_factory=list)
-
-    def __post_init__(self):
-        spec = walk(COLUMN, {"role": self.role, "transforms": self.transforms},
-                    f"columns.{self.name}")
-        self.role, self.transforms = spec["role"], spec["transforms"]
-
-
-@dataclass
-class RunConfig:
-    """Declarative description of one run (any subcommand)."""
-
-    columns: list = field(default_factory=list)     # ColumnSpec, input order
-    input_path: str | None = None
-    simulate: dict | None = None                    # DGPSpec dict
-    model: str = "parametric"
-    kernel_scale: float = 0.5
-    bandwidths: list | None = None
-    fit_options: dict = field(default_factory=dict)
-    reference: object = None                        # label or 1-based index
-    seed: int = 0
-    out: str = "run-output"
-    surface: dict | None = None
-    iia: dict | None = None
-    impute: dict = field(default_factory=dict)      # column -> default value
-    grid: dict | None = None                        # lo, hi, steps
-
-    def __post_init__(self):
-        roles = [c.role for c in self.columns]
-        if self.columns and roles.count("response") != 1:
-            raise ConfigError("need exactly one response column")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        """The config ``d``, read through the config table; values it does
-        not give keep the defaults above."""
-        c = walk(RUN, d, "")
-        values = dict(
-            columns=[ColumnSpec(name, spec["role"], spec["transforms"])
-                     for name, spec in c["columns"].items()],
-            input_path=c.get("input"), kernel_scale=c["kernel"].get("scale"),
-            bandwidths=c["kernel"].get("bandwidths"), fit_options=c["fit"],
-            **{key: c.get(key) for key in ("simulate", "model", "reference", "seed",
-                                          "out", "surface", "iia", "impute", "grid")})
-        return cls(**{k: v for k, v in values.items() if v is not None})
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        return cls.from_dict(_read_json_object(path))
+def read_config(d: dict) -> dict:
+    """The run configuration ``d`` read through the config table, with
+    exactly one response column among any columns it names."""
+    config = walk(RUN, d, "")
+    roles = [c["role"] for c in config["columns"].values()]
+    if roles and roles.count("response") != 1:
+        raise ConfigError("need exactly one response column")
+    return config
 
 
 # --------------------------------------------------------------------------
@@ -126,7 +81,9 @@ class IngestReport:
 
 
 def _apply_transforms(value: float, transforms: list):
-    """Returns (value, squared-or-None) or raises ValueError('log-domain')."""
+    """Returns (value, squared-or-None) or raises ValueError('log-domain');
+    a plain ValueError when the value, or what a transform makes of it,
+    is not finite."""
     squared = None
     for tr in transforms:
         kind = tr["kind"]
@@ -138,25 +95,27 @@ def _apply_transforms(value: float, transforms: list):
             value = value / tr["by"]
         elif kind == "square-augment":
             squared = value * value
+    if not math.isfinite(value) or squared is not None and not math.isfinite(squared):
+        raise ValueError("non-finite")
     return value, squared
 
 
-def load_csv(path, config: RunConfig):
+def load_csv(path, config: dict):
     """Parse a CSV into a Dataset, applying roles, transforms, imputation.
 
     Response labels map to categories 1..K by first appearance.  Rows
-    with unparseable or missing required fields (or a log transform of a
-    nonpositive value) are dropped and counted by reason.
+    with unparseable, non-finite or missing required fields (or a log
+    transform of a nonpositive value) are dropped and counted by reason.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"input file {path} does not exist")
-    by_name = {c.name: c for c in config.columns}
-    response = [c for c in config.columns if c.role == "response"]
+    columns, impute = config["columns"], config["impute"]
+    response = [name for name, c in columns.items() if c["role"] == "response"]
     if len(response) != 1:
         raise ConfigError("need exactly one response column")
-    response = response[0]
-    covariate_cols = [c for c in config.columns if c.role in ("parametric", "smooth")]
+    covariates = [(name, c) for name, c in columns.items()
+                  if c["role"] in ("parametric", "smooth")]
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -164,11 +123,11 @@ def load_csv(path, config: RunConfig):
             header = next(reader)
         except StopIteration:
             raise EmptyDatasetError(f"{path} is empty") from None
-        missing_cols = [c.name for c in config.columns
-                        if c.role != "ignore" and c.name not in header]
+        missing_cols = [name for name, c in columns.items()
+                        if c["role"] != "ignore" and name not in header]
         if missing_cols:
             raise ConfigError(f"columns {missing_cols} not in header {header}")
-        idx = {name: header.index(name) for name in by_name if name in header}
+        idx = {name: header.index(name) for name in columns if name in header}
 
         labels: list = []
         label_to_k: dict = {}
@@ -179,22 +138,21 @@ def load_csv(path, config: RunConfig):
             if not record or all(not f.strip() for f in record):
                 continue
             rows_in += 1
-            label = record[idx[response.name]].strip()
-            if not label:
-                drops["missing"] += 1
-                continue
             values, squares = [], []
             try:
-                for col in covariate_cols:
-                    raw = record[idx[col.name]].strip()
+                label = record[idx[response[0]]].strip()
+                if not label:
+                    raise ValueError("missing")
+                for name, col in covariates:
+                    raw = record[idx[name]].strip()
                     if not raw:
-                        if col.name in config.impute:
-                            v = float(config.impute[col.name])
+                        if name in impute:
+                            v = float(impute[name])
                         else:
                             raise ValueError("missing")
                     else:
                         v = float(raw)
-                    v, sq = _apply_transforms(v, col.transforms)
+                    v, sq = _apply_transforms(v, col["transforms"])
                     values.append(v)
                     squares.append(sq)
             except (ValueError, IndexError) as err:
@@ -221,13 +179,13 @@ def load_csv(path, config: RunConfig):
 
     x_names, t_names = [], []
     x_parts, t_parts = [], []
-    for j, col in enumerate(covariate_cols):
+    for j, (col_name, col) in enumerate(covariates):
         base = np.array([r[0][j] for r in rows])
-        cols = [(col.name, base)]
+        cols = [(col_name, base)]
         if any(r[1][j] is not None for r in rows):
-            cols.append((col.name + "_sq", np.array([r[1][j] for r in rows])))
+            cols.append((col_name + "_sq", np.array([r[1][j] for r in rows])))
         for name, vec in cols:
-            if col.role == "parametric":
+            if col["role"] == "parametric":
                 x_names.append(name)
                 x_parts.append(vec)
             else:
@@ -267,14 +225,12 @@ def write_dataset_csv(data: Dataset, path, x_names=None, t_names=None):
         for y, x, t in zip(data.y, data.x.tolist(), data.t.tolist())))
 
 
-def dataset_config(data: Dataset, x_names=None, t_names=None) -> RunConfig:
-    """RunConfig whose columns reload a write_dataset_csv file."""
+def dataset_config(data: Dataset, x_names=None, t_names=None) -> dict:
+    """Run configuration whose columns reload a write_dataset_csv file."""
     default_x, default_t = _default_names(data)
-    x_names, t_names = x_names or default_x, t_names or default_t
-    cols = [ColumnSpec("y", "response")]
-    cols += [ColumnSpec(n, "parametric") for n in x_names]
-    cols += [ColumnSpec(n, "smooth") for n in t_names]
-    return RunConfig(columns=cols)
+    return read_config({"columns": {
+        "y": "response", **dict.fromkeys(x_names or default_x, "parametric"),
+        **dict.fromkeys(t_names or default_t, "smooth")}})
 
 
 # --------------------------------------------------------------------------
@@ -300,36 +256,36 @@ def _write_manifest(path, entries: dict):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _config_echo(config: RunConfig) -> dict:
+def _config_echo(config: dict) -> dict:
+    kernel = config["kernel"]
     e = {
-        "config.model": config.model,
-        "config.seed": config.seed,
-        "config.kernel_scale": fmt(config.kernel_scale),
+        "config.model": config["model"],
+        "config.seed": config["seed"],
+        "config.kernel_scale": fmt(kernel["scale"]),
         "versions.semilogit": __version__, "versions.numpy": np.__version__,
     }
-    if config.input_path:
-        e["config.input"] = config.input_path
-    if config.simulate is not None:
-        e["config.simulate"] = json.dumps(config.simulate, sort_keys=True)
-    if config.bandwidths:
-        e["config.bandwidths"] = ",".join(fmt(h) for h in config.bandwidths)
-    for c in config.columns:
-        desc = c.role
-        if c.transforms:
+    if config.get("input"):
+        e["config.input"] = config["input"]
+    if "simulate" in config:
+        e["config.simulate"] = json.dumps(config["simulate"], sort_keys=True)
+    if kernel.get("bandwidths"):
+        e["config.bandwidths"] = ",".join(fmt(h) for h in kernel["bandwidths"])
+    for name, c in config["columns"].items():
+        desc = c["role"]
+        if c["transforms"]:
             desc += ";" + ";".join(
                 tr["kind"] + (f"({tr.get('by')})" if tr["kind"] == "divide-by" else "")
-                for tr in c.transforms)
-        e[f"config.column.{c.name}"] = desc
-    for name, v in sorted(config.impute.items()):
+                for tr in c["transforms"])
+        e[f"config.column.{name}"] = desc
+    for name, v in sorted(config["impute"].items()):
         e[f"config.impute.{name}"] = fmt(v)
-    if config.fit_options:
-        for k, v in sorted(config.fit_options.items()):
-            e[f"config.fit.{k}"] = fmt(v) if isinstance(v, float) else str(v)
+    for k, v in sorted(config["fit"].items()):
+        e[f"config.fit.{k}"] = fmt(v) if isinstance(v, float) else str(v)
     return e
 
 
-def _resolve_reference(config: RunConfig, data: Dataset):
-    ref = config.reference
+def _resolve_reference(config: dict, data: Dataset):
+    ref = config.get("reference")
     if ref is None:
         return data.n_categories
     if isinstance(ref, str):
@@ -341,14 +297,14 @@ def _resolve_reference(config: RunConfig, data: Dataset):
     return ref
 
 
-def _obtain_dataset(config: RunConfig):
+def _obtain_dataset(config: dict):
     """Dataset plus ingest report (None when simulated) and term names."""
-    if config.simulate is not None:
-        data = simulate(DGPSpec.from_dict({"seed": config.seed, **config.simulate}))
+    if "simulate" in config:
+        data = simulate(DGPSpec.from_dict({"seed": config["seed"], **config["simulate"]}))
         return (data, None) + _default_names(data)
-    if not config.input_path:
+    if not config.get("input"):
         raise ConfigError("config needs either 'input' or 'simulate'")
-    data, report = load_csv(config.input_path, config)
+    data, report = load_csv(config["input"], config)
     return data, report, report.x_names, report.t_names
 
 
@@ -372,11 +328,11 @@ def _ingest_entries(report: IngestReport | None) -> dict:
 # subcommand implementations
 # --------------------------------------------------------------------------
 
-def run_simulate(config: RunConfig) -> int:
+def run_simulate(config: dict) -> int:
     """Draw the configured DGP and write data.csv plus a manifest."""
-    if config.simulate is None:
+    if "simulate" not in config:
         raise ConfigError("simulate requires a 'simulate' block in the config")
-    out = Path(config.out)
+    out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     data, _, x_names, t_names = _obtain_dataset(config)
     write_dataset_csv(data, out / "data.csv", x_names, t_names)
@@ -475,12 +431,12 @@ def load_fit_state(path):
     return data, fit, s.get("x_names", []), s.get("t_names", [])
 
 
-def run_fit(config: RunConfig) -> int:
+def run_fit(config: dict) -> int:
     """Fit the configured model; write tables, trace, manifest, state.
 
     Exit status 0 iff the fit converged (3 otherwise).
     """
-    out = Path(config.out)
+    out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     data, report, x_names, t_names = _obtain_dataset(config)
     reference = _resolve_reference(config, data)
@@ -494,9 +450,8 @@ def run_fit(config: RunConfig) -> int:
     })
 
     # any other fit key is echoed in the manifest and otherwise ignored
-    opts = {k: config.fit_options[k] for k in ("tol", "max_iter")
-            if k in config.fit_options}
-    if config.model == "parametric":
+    opts = {k: config["fit"][k] for k in ("tol", "max_iter") if k in config["fit"]}
+    if config["model"] == "parametric":
         fit = fit_parametric(data, reference=reference,
                              term_names=["intercept"] + x_names + t_names,
                              **opts)
@@ -509,12 +464,12 @@ def run_fit(config: RunConfig) -> int:
             "fit.loglik": fmt(fit.loglik), "fit.score_max": fmt(fit.score_max),
         })
     else:
-        if config.bandwidths is not None:
-            kernel = KernelConfig(bandwidths=config.bandwidths)
+        if "bandwidths" in config["kernel"]:
+            kernel = KernelConfig(bandwidths=config["kernel"]["bandwidths"])
             if kernel.q != data.q:
                 raise ShapeError(f"{kernel.q} bandwidths for q={data.q}")
         else:
-            kernel = bandwidth_from_scale(data.t, config.kernel_scale)
+            kernel = bandwidth_from_scale(data.t, config["kernel"]["scale"])
         fit = fit_semiparametric(data, kernel, reference=reference, **opts)
         _write_coefficient_table(out / "coefficients.csv", fit.categories,
                                  data.labels, x_names, fit.beta, fit.beta_se)
@@ -536,10 +491,10 @@ def run_fit(config: RunConfig) -> int:
     return 0 if fit.converged else 3
 
 
-def run_surface(config: RunConfig, fit_dir=None) -> int:
+def run_surface(config: dict, fit_dir=None) -> int:
     """Probability surface over a grid of the two smooth covariates."""
-    request = walk(SURFACE, config.surface, "surface")
-    fit_dir = Path(fit_dir or config.out)
+    request = walk(SURFACE, config.get("surface"), "surface")
+    fit_dir = Path(fit_dir or config["out"])
     state_path = fit_dir / "fit_state.json"
     if not state_path.exists():
         raise ConfigError(f"no semiparametric fit artifacts at {state_path}")
@@ -572,7 +527,7 @@ def run_surface(config: RunConfig, fit_dir=None) -> int:
     grid[:, order[0]], grid[:, order[1]] = a, b
     probs = predict_surface(fit, data, grid, x_fixed)
 
-    out = Path(config.out)
+    out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "surface.csv",
                [axes[0]["name"], axes[1]["name"], "category", "probability"],
@@ -581,11 +536,11 @@ def run_surface(config: RunConfig, fit_dir=None) -> int:
     return 0
 
 
-def run_iia(config: RunConfig) -> int:
+def run_iia(config: dict) -> int:
     """IIA tests for every eligible dropped category; writes a table."""
-    request = walk(IIA, config.iia, "iia")
+    request = walk(IIA, config.get("iia"), "iia")
     method, drop = request["method"], request.get("drop")
-    out = Path(config.out)
+    out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     data, report, _, _ = _obtain_dataset(config)
     reference = _resolve_reference(config, data)
@@ -595,12 +550,12 @@ def run_iia(config: RunConfig) -> int:
     results = []
     for m in methods:
         if drop is None:
-            results.extend(iia_all_permutations(data, m, seed=config.seed,
+            results.extend(iia_all_permutations(data, m, seed=config["seed"],
                                                 reference=reference))
         elif m == "HausmanMcFadden":
             results.append(hausman_mcfadden(data, drop, reference=reference))
         else:
-            results.append(small_hsiao(data, drop, config.seed,
+            results.append(small_hsiao(data, drop, config["seed"],
                                        reference=reference))
 
     _write_csv(out / "iia_results.csv",
@@ -615,10 +570,10 @@ def run_iia(config: RunConfig) -> int:
     return 0
 
 
-def run_bandwidth_grid(config: RunConfig) -> int:
+def run_bandwidth_grid(config: dict) -> int:
     """Bandwidth grid over the smooth covariates; writes scale table."""
-    grid = walk(GRID, config.grid, "grid")
-    out = Path(config.out)
+    grid = walk(GRID, config.get("grid"), "grid")
+    out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     data, _, _, t_names = _obtain_dataset(config)
     if data.q == 0:

@@ -958,7 +958,8 @@ def _solve_m_at_points(data, state, kernel, Tq):
     def solve_block(bounds):
         start, stop = bounds
         W, = _scratch("weights", (stop - start, data.n))
-        _cross_weights(kernel, Tq[start:stop], data.t, out=W)
+        with np.errstate(over="ignore"):     # a distance that overflows weighs 0
+            _cross_weights(kernel, Tq[start:stop], data.t, out=W)
         empty = np.flatnonzero(W.sum(axis=1) == 0.0)
         if empty.size:
             raise NoLocalDataError("all kernel weights vanished at query point "

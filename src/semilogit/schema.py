@@ -132,20 +132,21 @@ COLUMN = Obj({
     }), lone=True, default=[]),
 }, short="role")
 
-# read by RunConfig.from_dict, whose fields hold their own defaults; the
-# code that uses simulate, surface, iia or grid reads it through its entry
-# below, so a subcommand ignores a section it does not read
+# read by dataio.read_config; the code that uses simulate, surface, iia or
+# grid reads it through its entry below, so a subcommand ignores a section
+# it does not read
 RUN = Obj({
     "input": Str(),
     "columns": Obj(each=COLUMN, default={}),
-    "model": Str("parametric", "semiparametric"),
-    "kernel": Obj({"scale": Num("> 0"), "bandwidths": List(Num("> 0"))}, default={}),
+    "model": Str("parametric", "semiparametric", default="parametric"),
+    "kernel": Obj({"scale": Num("> 0", default=0.5), "bandwidths": List(Num("> 0"))},
+                  default={}),
     # fit keys the table does not name are echoed in the manifest only
     "fit": Obj({"tol": Num("> 0"), "max_iter": Int(">= 0")}, default={}),
     "impute": Obj(each=Num(), default={}),
     "reference": Either(Str(), Int()),     # label or 1-based index
-    "seed": Int(">= 0"),             # numpy rejects seeds < 0
-    "out": Str(),
+    "seed": Int(">= 0", default=0),  # numpy rejects seeds < 0
+    "out": Str(default="run-output"),
     "simulate": Obj(), "surface": Obj(), "iia": Obj(), "grid": Obj(),
 })
 

@@ -109,8 +109,10 @@ def true_probabilities(spec: DGPSpec, x: np.ndarray, t: np.ndarray) -> np.ndarra
     t = np.atleast_2d(np.asarray(t, dtype=np.float64))
     K = spec.n_categories
     eta = np.zeros((x.shape[0], K))
-    for k in range(K - 1):
-        eta[:, k] = x @ spec.beta[k] + evaluate_smooth(spec.smooth[k], t)
+    # softmax_probabilities rejects an eta that overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K - 1):
+            eta[:, k] = x @ spec.beta[k] + evaluate_smooth(spec.smooth[k], t)
     return softmax_probabilities(eta)
 
 

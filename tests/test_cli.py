@@ -199,6 +199,15 @@ SUBCOMMAND_CONFIGS = {
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_beta_of_1e308_exits_4_without_a_warning(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.json", model="parametric", simulate={
+            "n_categories": 2, "n": 50, "seed": 7, "beta": [[1e308]],
+            "x_laws": [{"kind": "normal"}], "t_laws": []})
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert "non-finite" in capsys.readouterr().err
+
     def test_seed_override_changes_data(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -291,6 +300,17 @@ class TestSurfaceCommand:
                    "--out", str(tmp_path / "s")])
         assert rc == 2
         assert str(tmp_path / "f" / "fit_state.json") in capsys.readouterr().err
+
+    def test_axis_ending_at_1e308_exits_4_without_a_warning(self, tmp_path, capsys):
+        cfg_path = self._fit(tmp_path)
+        cfg = json.loads(Path(cfg_path).read_text())
+        cfg["surface"]["axes"][0]["hi"] = 1e308
+        Path(cfg_path).write_text(json.dumps(cfg))
+        rc = main(["surface", "--config", str(cfg_path),
+                   "--fit-dir", str(tmp_path / "f"),
+                   "--out", str(tmp_path / "s2")])
+        assert rc == 4
+        assert "kernel weights vanished" in capsys.readouterr().err
 
     def test_surface_without_fit_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",

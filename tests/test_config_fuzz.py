@@ -102,10 +102,6 @@ def spoiled(config, path, value):
     return config
 
 
-# numpy reports an overflow at an extreme but valid value (a surface axis
-# ending at 1e308) as a RuntimeWarning, which the CLI prints and runs on
-# from; the suite's warnings-as-errors filter would raise it instead.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(CASES))
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())

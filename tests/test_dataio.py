@@ -8,12 +8,11 @@ import pytest
 
 from semilogit import ConfigError, EmptyDatasetError, simulate
 from semilogit.dataio import (
-    ColumnSpec,
-    RunConfig,
     dataset_config,
     fmt,
     load_csv,
     load_fit_state,
+    read_config,
     run_fit,
     run_simulate,
     significance_stars,
@@ -27,14 +26,12 @@ def write_lines(path, lines):
 
 
 def basic_config(**over):
-    cols = [ColumnSpec("party", "response"),
-            ColumnSpec("female", "parametric"),
-            ColumnSpec("income", "smooth", [{"kind": "log"}]),
-            ColumnSpec("age", "smooth", [{"kind": "divide-by", "by": 10.0}])]
-    cfg = RunConfig(columns=cols)
-    for k, v in over.items():
-        setattr(cfg, k, v)
-    return cfg
+    return read_config({
+        "columns": {"party": "response", "female": "parametric",
+                    "income": {"role": "smooth", "transforms": [{"kind": "log"}]},
+                    "age": {"role": "smooth",
+                            "transforms": [{"kind": "divide-by", "by": 10.0}]}},
+        **over})
 
 
 class TestLoadCsv:
@@ -76,6 +73,37 @@ class TestLoadCsv:
         assert report.drops["parse"] == 1
         assert report.drops["missing"] == 2
 
+    def test_short_row_without_response_field_is_a_parse_drop(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["female,income,age,party",
+                        "1,1200,40,a",
+                        "0,3000,60",
+                        "1,900,30,b"])
+        data, report = load_csv(f, basic_config())
+        assert data.n == 2
+        assert report.drops == {"parse": 1, "missing": 0, "log-domain": 0}
+
+    def test_non_finite_values_are_parse_drops(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["party,female,income,age",
+                        "a,nan,1000,40",
+                        "b,1,inf,50",
+                        "a,1,1000,-inf",
+                        "b,1e300,1000,40",          # divide-by overflows
+                        "a,1,1000,1e200",           # square-augment overflows
+                        "a,1,1200,39",
+                        "b,0,2500,44"])
+        cfg = read_config({"columns": {
+            "party": "response",
+            "female": {"role": "parametric",
+                       "transforms": [{"kind": "divide-by", "by": 1e-10}]},
+            "income": {"role": "smooth", "transforms": [{"kind": "log"}]},
+            "age": {"role": "smooth", "transforms": [{"kind": "square-augment"}]}}})
+        data, report = load_csv(f, cfg)
+        assert data.n == 2
+        assert report.drops == {"parse": 5, "missing": 0, "log-domain": 0}
+        assert np.isfinite(data.x).all() and np.isfinite(data.t).all()
+
     def test_imputation_fills_missing(self, tmp_path):
         f = tmp_path / "d.csv"
         write_lines(f, ["party,female,income,age",
@@ -89,12 +117,12 @@ class TestLoadCsv:
         f = tmp_path / "d.csv"
         write_lines(f, ["party,female,income,age", "a,1,1000,40",
                         "b,0,2000,50"])
-        cols = [ColumnSpec("party", "response"),
-                ColumnSpec("female", "parametric"),
-                ColumnSpec("income", "parametric",
-                           [{"kind": "log"}, {"kind": "square-augment"}]),
-                ColumnSpec("age", "ignore")]
-        data, report = load_csv(f, RunConfig(columns=cols))
+        cfg = read_config({"columns": {
+            "party": "response", "female": "parametric",
+            "income": {"role": "parametric",
+                       "transforms": [{"kind": "log"}, {"kind": "square-augment"}]},
+            "age": "ignore"}})
+        data, report = load_csv(f, cfg)
         assert report.x_names == ["female", "income", "income_sq"]
         np.testing.assert_allclose(data.x[:, 2], np.log([1000.0, 2000.0]) ** 2)
 
@@ -124,9 +152,9 @@ class TestLoadCsv:
 
 class TestRunArtifacts:
     def test_parametric_run_writes_complete_tables(self, tmp_path):
-        cfg = RunConfig(
-            simulate=make_dgp(K=3, n=250, seed=22).to_dict(),
-            model="parametric", seed=22, out=str(tmp_path / "run"))
+        cfg = read_config({
+            "simulate": make_dgp(K=3, n=250, seed=22).to_dict(),
+            "model": "parametric", "seed": 22, "out": str(tmp_path / "run")})
         rc = run_fit(cfg)
         assert rc == 0
         coef = (tmp_path / "run" / "coefficients.csv").read_text().splitlines()
@@ -144,7 +172,7 @@ class TestRunArtifacts:
         rows += [f"b,{i % 2},{200 + i},{40 + i}" for i in range(40)]
         rows += ["a,1,0,50", "b,junk,500,60"]
         write_lines(f, rows)
-        cfg = basic_config(input_path=str(f), model="parametric",
+        cfg = basic_config(input=str(f), model="parametric",
                            out=str(tmp_path / "run"))
         rc = run_fit(cfg)
         manifest = (tmp_path / "run" / "manifest.txt").read_text()
@@ -155,10 +183,10 @@ class TestRunArtifacts:
         assert "data.drop.parse = 1" in manifest
 
     def test_nonconvergent_run_exits_3(self, tmp_path):
-        cfg = RunConfig(
-            simulate=make_dgp(K=3, n=250, seed=23).to_dict(),
-            model="parametric", fit_options={"max_iter": 1, "tol": 1e-14},
-            seed=23, out=str(tmp_path / "run"))
+        cfg = read_config({
+            "simulate": make_dgp(K=3, n=250, seed=23).to_dict(),
+            "model": "parametric", "fit": {"max_iter": 1, "tol": 1e-14},
+            "seed": 23, "out": str(tmp_path / "run")})
         assert run_fit(cfg) == 3
         manifest = (tmp_path / "run" / "manifest.txt").read_text()
         assert "fit.converged = False" in manifest
@@ -168,8 +196,9 @@ class TestRunArtifacts:
                "smooth": [{"kind": "linear", "intercept": 0.1, "slopes": 0.4}],
                "x_laws": [{"kind": "bernoulli", "p": 0.5}],
                "t_laws": [{"kind": "uniform", "lo": -1, "hi": 1}]}
-        cfg = RunConfig(simulate=dgp, model="semiparametric",
-                        kernel_scale=0.8, seed=3, out=str(tmp_path / "run"))
+        cfg = read_config({"simulate": dgp, "model": "semiparametric",
+                           "kernel": {"scale": 0.8}, "seed": 3,
+                           "out": str(tmp_path / "run")})
         assert run_fit(cfg) == 0
         data, fit, x_names, t_names = load_fit_state(
             tmp_path / "run" / "fit_state.json")
@@ -179,8 +208,8 @@ class TestRunArtifacts:
         assert len(m_csv) == 151
 
     def test_run_simulate_writes_csv(self, tmp_path):
-        cfg = RunConfig(simulate=make_dgp(K=3, n=60, seed=9).to_dict(),
-                        out=str(tmp_path / "sim"))
+        cfg = read_config({"simulate": make_dgp(K=3, n=60, seed=9).to_dict(),
+                           "out": str(tmp_path / "sim")})
         assert run_simulate(cfg) == 0
         lines = (tmp_path / "sim" / "data.csv").read_text().splitlines()
         assert lines[0] == "y,x1,x2,t1"
@@ -201,21 +230,21 @@ class TestFormatting:
         assert significance_stars(0.2) == ""
 
 
-class TestRunConfigValidation:
+class TestReadConfig:
     def test_two_response_columns_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig(columns=[ColumnSpec("a", "response"),
-                               ColumnSpec("b", "response")])
+        with pytest.raises(ConfigError, match="one response"):
+            read_config({"columns": {"a": "response", "b": "response"}})
 
     def test_unknown_role_rejected(self):
-        with pytest.raises(ConfigError):
-            ColumnSpec("a", "covariate")
+        with pytest.raises(ConfigError, match="columns.a.role"):
+            read_config({"columns": {"a": "covariate"}})
 
     def test_unknown_transform_rejected(self):
-        with pytest.raises(ConfigError):
-            ColumnSpec("a", "smooth", [{"kind": "exp"}])
+        with pytest.raises(ConfigError, match="columns.a.transforms"):
+            read_config({"columns": {"a": {"role": "smooth",
+                                           "transforms": [{"kind": "exp"}]}}})
 
-    def test_from_dict_round_trip(self, tmp_path):
+    def test_load_round_trip(self, tmp_path):
         raw = {"input": "d.csv",
                "columns": {"y": "response",
                            "inc": {"role": "smooth",
@@ -224,6 +253,16 @@ class TestRunConfigValidation:
                "seed": 5, "out": "o"}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(raw))
-        cfg = RunConfig.load(p)
-        assert cfg.kernel_scale == 0.7
-        assert cfg.columns[1].transforms == [{"kind": "log"}]
+        cfg = read_config(json.loads(p.read_text()))
+        assert cfg["kernel"]["scale"] == 0.7
+        assert cfg["columns"]["inc"]["transforms"] == [{"kind": "log"}]
+        assert cfg["columns"]["y"] == {"role": "response", "transforms": []}
+        assert (cfg["input"], cfg["model"], cfg["seed"], cfg["out"]) == (
+            "d.csv", "semiparametric", 5, "o")
+
+    def test_empty_config_carries_the_defaults(self):
+        cfg = read_config({})
+        assert (cfg["model"], cfg["kernel"], cfg["seed"], cfg["out"]) == (
+            "parametric", {"scale": 0.5}, 0, "run-output")
+        assert (cfg["columns"], cfg["fit"], cfg["impute"]) == ({}, {}, {})
+        assert "input" not in cfg and "simulate" not in cfg
