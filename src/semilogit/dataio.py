@@ -225,14 +225,6 @@ def write_dataset_csv(data: Dataset, path, x_names=None, t_names=None):
         for y, x, t in zip(data.y, data.x.tolist(), data.t.tolist())))
 
 
-def dataset_config(data: Dataset, x_names=None, t_names=None) -> dict:
-    """Run configuration whose columns reload a write_dataset_csv file."""
-    default_x, default_t = _default_names(data)
-    return read_config({"columns": {
-        "y": "response", **dict.fromkeys(x_names or default_x, "parametric"),
-        **dict.fromkeys(t_names or default_t, "smooth")}})
-
-
 # --------------------------------------------------------------------------
 # reporting helpers
 # --------------------------------------------------------------------------

@@ -28,13 +28,23 @@ So, with M_k = W * P_k * (1 - P_k) and D_k its row sums,
   J_k = D_k^{-1} M_k [-x e_k + sum_{s != k} pi_s (x e_s + J_s)],
 
 one blocked pass per category over the same kernel as the curve sweep.
+Each curve sweep makes that pass as well: it forms W * P and Q for every
+block anyway, so it multiplies the block by Q once and takes one product
+with [1 | rhs_k], whose first column is the local information of its
+Newton step.  The right-hand side comes from the running J, the previous
+iteration's (zeros for the first solve), so a curve solve hands the
+Jacobian solve the pass of its closing sweep.  That pass is made at the
+closing sweep's input m, which lies within the curve tolerance of the
+solved m.
 
 Both solves are Gauss-Seidel passes over the categories.  With K >= 3
 they are coupled and converge only linearly, so the stacked vector is
 Anderson-mixed from its last few passes (Anderson 1965; Walker & Ni
 2011).  With K = 2 there is one uncoupled curve: each curve pass is a
 pointwise Newton step converging quadratically and runs plain, and one
-Jacobian pass is exact.
+Jacobian pass is exact, so the closing sweep's J is the fit's and a K = 2
+fit makes no separate Jacobian pass.  With K >= 3 the Jacobian solve
+continues from the closing sweep's J.
 
 Identifiability: the reference category's beta row and m row are
 structurally zero and never stored.
@@ -142,12 +152,18 @@ _BURNIN_SWEEPS = 200
 #     depth 3         40+66  /  40+64  /  40+66     52+90     75+135
 #     depth 5         40+62  /  40+64  /  40+64     50+84     69+123
 # Deeper histories pay little after 3; K=2 fits (9 + 5 on seed 1) never
-# mix.
+# mix.  The table predates the Jacobian pass of every curve sweep, which
+# cut the depth-3 Jacobian calls of the same fits to 38 / 42 / 42 at
+# scale 0.5 and to 81 at K=4, and the K=2 ones to 0.
 _ANDERSON_DEPTH = 3
 # Max-norm change of dm/dbeta at which the Jacobian solve stops.  J is of
 # the order of x, so the score it feeds is exact to about 1e-10 per
 # observation.
 _JACOBIAN_TOL = 1e-10
+# Max-norm change of m at which a curve solve stops, unless the fit's tol
+# is tighter.  It holds for every trace point, the burn-in's included: a
+# sloppier start would register the remaining polish as a dip.
+_CURVE_TOL = 1e-9
 # Max-norm step of m at which a query-point solve stops.
 _POINT_TOL = 1e-10
 _EXP_SAFE = 600.0           # e^g e^mu is finite while |g| + |mu| stays below
@@ -480,41 +496,43 @@ def _local_steps(W, yk, logit, mu, where):
 def _symmetric_sums(wcache, logit, mu, y=None, R=None):
     """Kernel sums at every observation point, over the packed triangle.
 
-    With p_ij = sigmoid(g_j + mu_i), returns, for ``y``, the local scores
-    sum_j w_ij (y_j - p_ij) and informations sum_j w_ij p_ij (1 - p_ij) as
-    the columns of an (n, 2) array; for ``R``, sum_j w_ij p_ij (1 - p_ij) R_j,
-    shape (n, r).  Each block W[I, s:] serves rows I against columns s:
-    (direction 1) and, read down its columns past the diagonal block, rows
-    e: against columns I (direction 2).  Each chunk of ``wcache`` adds into
-    its own partial sums, which are added up in chunk order.
+    With p_ij = sigmoid(g_j + mu_i), returns the columns of
+    sum_j w_ij p_ij (1 - p_ij) R_j, shape (n, r).  ``R`` defaults to the
+    ones column, whose sums are the local informations; a Jacobian pass
+    puts the ones column first, so the informations come with its
+    products.  ``y`` adds a first column, the local scores
+    sum_j w_ij (y_j - p_ij).  Each block W[I, s:] serves rows I against
+    columns s: (direction 1) and, read down its columns past the diagonal
+    block, rows e: against columns I (direction 2).  Each chunk of
+    ``wcache`` adds into its own partial sums, which are added up in chunk
+    order.
     """
     n = mu.shape[0]
+    if R is None:
+        R = logit.ones[:, None]
+    first = int(y is not None)      # the score column, when there is one
     # e^mu once per pass; when it is unsafe, each block decides alone
     emu = logit.exp_points(mu)
-    partials = np.zeros((len(wcache.chunks), n, 2 if R is None else R.shape[1]))
+    partials = np.zeros((len(wcache.chunks), n, first + R.shape[1]))
 
     def chunk_sums(c):
         sums = partials[c]
         for s, e, W in wcache.blocks(wcache.chunks[c]):
             WP, Q = logit.weighted(W, mu[s:e], slice(s, None),
                                    None if emu is None else emu[s:e])
-            if R is None:
+            if first:
                 sums[s:e, 0] += np.dot(W, y[s:]) - np.dot(WP, logit.ones[s:])
-                sums[s:e, 1] += _row_dots(WP, Q)
-            else:
-                WP *= Q
-                sums[s:e] += np.dot(WP, R[s:])
+            WP *= Q
+            sums[s:e, first:] += np.dot(WP, R[s:])
             if e == n:
                 continue
             V = W[:, e - s:]
             WP, Q = logit.weighted_t(V, slice(s, e), mu[e:],
                                      None if emu is None else emu[e:])
-            if R is None:
+            if first:
                 sums[e:, 0] += np.dot(y[s:e], V) - np.dot(logit.ones[s:e], WP)
-                sums[e:, 1] += np.einsum("ij,ij->j", WP, Q)
-            else:
-                WP *= Q
-                sums[e:] += np.dot(WP.T, R[s:e])
+            WP *= Q
+            sums[e:, first:] += np.dot(WP.T, R[s:e])
 
     _for_each(chunk_sums, range(len(wcache.chunks)))
     # added in chunk order, whichever thread made each
@@ -549,12 +567,11 @@ def _m_gradients_all(data, state, row, wcache, rhs):
     right-hand side of the implicit-function equations.
     """
     logit = _Logistic(_fixed_logit_parts(data, state, row))
-    rhs1 = np.column_stack([rhs, logit.ones])
-    sums = _symmetric_sums(wcache, logit, state.m[row], R=rhs1)
-    num, den = sums[:, :-1], sums[:, -1]
-    if np.any(den == 0.0):
+    sums = _symmetric_sums(wcache, logit, state.m[row],
+                           R=np.column_stack([logit.ones, rhs]))
+    if np.any(sums[:, 0] == 0.0):
         raise NumericalFailureError("zero curvature sum in least-favourable gradient")
-    return num / den[:, None]
+    return sums[:, 1:] / sums[:, :1]
 
 
 def _joint_loglik(data, beta, m, reference):
@@ -571,40 +588,50 @@ def _x_blocks(data, n_rows):
     return X
 
 
-def _profile_jacobian(data, state, wcache, J=None):
+def _jacobian_rhs(data, state, row, g, J):
+    """-x e_k + sum_{s != k} pi_s (x e_s + J_s), the right-hand side of
+    category ``row``'s implicit-function equations, shape (n, (K-1) p).
+
+    ``g`` is the row's :func:`_fixed_logit_parts`, x'beta_k -
+    log(1 + sum_{l != k} e^{eta_l}), so pi_s = e^{eta_s + g - x'beta_k}.
+    """
+    X = _x_blocks(data, J.shape[0])
+    A = data.x @ state.beta.T + state.m.T
+    log_rest = g - (A[:, row] - state.m[row])
+    rhs = -X[row]
+    for s in range(J.shape[0]):
+        if s != row:
+            rhs = rhs + np.exp(A[:, s] + log_rest)[:, None] * (X[s] + J[s])
+    return rhs
+
+
+def _profile_jacobian(data, state, wcache, J=None, change=np.inf):
     """J_s = dm_s/dbeta at the observation points, (K-1, n, (K-1) p).
 
     Solves the implicit-function equations of the module docstring by
-    Gauss-Seidel passes over the categories from the warm start ``J``
-    (zeros when None), Anderson-mixed like the curve solve.  With one
-    category there is no coupling, so the first pass is exact and the
-    solve stops after it.  Returns ``(J, converged, last max change)``.
+    Gauss-Seidel passes over the categories, Anderson-mixed like the
+    curve solve.  The passes continue from ``J`` (zeros when None), the
+    output of a pass that changed J by ``change`` in max-norm: the closing
+    curve sweep's, or none.  With one category there is no coupling, so
+    one pass is exact and the solve stops after the first.  Returns
+    ``(J, converged, last max change)``.
     """
     n_rows = state.m.shape[0]
-    X = _x_blocks(data, n_rows)
-    if data.p == 0:
-        return X, True, 0.0
-    A = data.x @ state.beta.T + state.m.T
-    shares = []        # per row k: (s, pi_s) for s != k
-    for k in range(n_rows):
-        # _fixed_logit_parts is x'beta_k - log(1 + sum_{l != k} e^{eta_l})
-        log_rest = _fixed_logit_parts(data, state, k) - (A[:, k] - state.m[k])
-        shares.append([(s, np.exp(A[:, s] + log_rest))
-                       for s in range(n_rows) if s != k])
+    shape = (n_rows, data.n, n_rows * data.p)
+    tol = _JACOBIAN_TOL if n_rows > 1 else np.inf
+    if change < tol:
+        return J, True, change
 
     def gs_pass(x):
-        J = x.reshape(X.shape).copy()
+        J = x.reshape(shape).copy()
         for k in range(n_rows):
-            rhs = -X[k]
-            for s, pi in shares[k]:
-                rhs = rhs + pi[:, None] * (X[s] + J[s])
+            rhs = _jacobian_rhs(data, state, k, _fixed_logit_parts(data, state, k), J)
             J[k] = _m_gradients_all(data, state, k, wcache, rhs)
         return J.ravel()
 
-    x0 = np.zeros(X.size) if J is None else J.ravel()
-    tol = _JACOBIAN_TOL if n_rows > 1 else np.inf
+    x0 = np.zeros(math.prod(shape)) if J is None else J.ravel()
     J, done, change = _mixed_passes(gs_pass, x0, tol, mix=True)
-    return J.reshape(X.shape), done, change
+    return J.reshape(shape), done, change
 
 
 def _score_information(data, state, J):
@@ -638,17 +665,26 @@ def _newton_step(score, info):
     return np.clip(direction, -10.0, 10.0)
 
 
-def _m_sweep(data, state, row, k, wcache):
+def _m_sweep(data, state, row, k, wcache, J=None):
     """One local Newton step of m_k at every observation point, clipped
     at ``STEP_CAP``, all from the snapshot ``state``.
 
-    Returns the new m row and the number of cap-clipped updates.
+    With ``J``, the running dm/dbeta of every category, the same blocks
+    also make one Jacobian pass at ``state``: the products with
+    [1 | rhs_k] give the local informations and M_k rhs_k, and J[row] is
+    replaced by D_k^{-1} M_k rhs_k.  Returns the new m row and the number
+    of cap-clipped updates.
     """
-    logit = _Logistic(_fixed_logit_parts(data, state, row))
+    g = _fixed_logit_parts(data, state, row)
+    logit = _Logistic(g)
     yk = (data.y == k).astype(np.float64)
     mu = state.m[row]
-    sums = _symmetric_sums(wcache, logit, mu, y=yk)
+    R = None if J is None else np.column_stack(
+        [logit.ones, _jacobian_rhs(data, state, row, g, J)])
+    sums = _symmetric_sums(wcache, logit, mu, y=yk, R=R)
     delta = _newton_steps(sums[:, 0], sums[:, 1], "during m sweep")
+    if J is not None:
+        J[row] = sums[:, 2:] / sums[:, 1:2]
     cap_hits = int(np.count_nonzero(np.abs(delta) > STEP_CAP))
     return mu + np.clip(delta, -STEP_CAP, STEP_CAP), cap_hits
 
@@ -703,7 +739,7 @@ def _mixed_passes(gs_pass, x, tol, mix):
     return x, False, delta
 
 
-def _resolve_all_m(data, state, cats, wcache, tol):
+def _resolve_all_m(data, state, cats, wcache, tol, J=None):
     """Solve all m rows onto the least favourable curve of state.beta.
 
     The fixed-point map G is one Gauss-Seidel pass of local Newton steps
@@ -715,27 +751,36 @@ def _resolve_all_m(data, state, cats, wcache, tol):
     solve stops when max|G(x) - x| < tol and leaves G(x), the last plain
     pass, in ``state.m``.
 
-    Returns ``(worst per-sweep fraction of cap-clipped local updates,
+    Each sweep also makes a Jacobian pass (see :func:`_m_sweep`), so the
+    passes carry a running dm/dbeta from ``J`` (zeros when None).  For
+    one category the closing sweep's J is exact at that sweep's input m,
+    which lies within tol of the returned m.
+
+    Returns ``((worst per-sweep fraction of cap-clipped local updates,
+    the closing sweep's J, the max change of its Jacobian pass),
     converged, last max change)``; ``converged`` is False when
     ``_BURNIN_SWEEPS`` passes did not reach tol.
     """
     shape = state.m.shape
-    worst_cap = 0.0
+    J = np.zeros((shape[0], data.n, shape[0] * data.p)) if J is None else J.copy()
+    worst_cap, J_change = 0.0, np.inf
 
     def gs_pass(x):
-        nonlocal worst_cap
+        nonlocal worst_cap, J_change
         state.m = x.reshape(shape).copy()
+        J_in = J.copy()
         hits_total = 0
         for row, k in enumerate(cats):
-            state.m[row], hits = _m_sweep(data, state, row, int(k), wcache)
+            state.m[row], hits = _m_sweep(data, state, row, int(k), wcache, J)
             hits_total += hits
         worst_cap = max(worst_cap, hits_total / state.m.size)
+        J_change = float(np.abs(J - J_in).max(initial=0.0))
         return state.m.ravel().copy()
 
     m, done, delta = _mixed_passes(gs_pass, state.m.ravel().copy(), tol,
                                    mix=len(cats) > 1)
     state.m = m.reshape(shape)
-    return worst_cap, done, delta
+    return (worst_cap, J, J_change), done, delta
 
 
 def starting_state(data: Dataset, reference: int) -> SmoothState:
@@ -784,29 +829,32 @@ class _Solves:
     def __init__(self, data, kernel, cats, tol):
         self.data, self.cats = data, cats
         self.wcache = _WeightCache(kernel, data.t)
-        # the curve precision of every trace point, the burn-in's included:
-        # a sloppier start would register the remaining polish as a dip
-        self.tol = min(tol, 1e-9)
+        self.tol = min(tol, _CURVE_TOL)
         self.worst_cap_fraction = 0.0
         self.capped = []
 
-    def curve(self, state):
+    def curve(self, state, J=None):
         """Solve ``state.m`` onto the least favourable curve of
-        ``state.beta``, from ``state.m``; returns the profile
-        log-likelihood there."""
-        cap, done, change = _resolve_all_m(self.data, state, self.cats,
-                                           self.wcache, self.tol)
+        ``state.beta``, from ``state.m``, its sweeps carrying dm/dbeta from
+        ``J``; returns the profile log-likelihood there, the closing
+        sweep's J and the max change of its Jacobian pass."""
+        (cap, J, J_change), done, change = _resolve_all_m(
+            self.data, state, self.cats, self.wcache, self.tol, J)
         self.worst_cap_fraction = max(self.worst_cap_fraction, cap)
         if not done:
             self.capped.append(change)
-        return _joint_loglik(self.data, state.beta, state.m, state.reference)
+        return (_joint_loglik(self.data, state.beta, state.m, state.reference),
+                J, J_change)
 
-    def jacobian(self, state, J):
-        """dm/dbeta at ``state``, warm-started from ``J``."""
-        J, done, change = _profile_jacobian(self.data, state, self.wcache, J)
+    def jacobian(self, state, J, J_change):
+        """dm/dbeta at ``state``, continuing from ``J``, the output of a
+        pass that changed it by ``J_change``; returns J and the max change
+        of its last pass."""
+        J, done, change = _profile_jacobian(self.data, state, self.wcache, J,
+                                            J_change)
         if not done:
             self.capped.append(change)
-        return J
+        return J, change
 
 
 def profile_loglik(data: Dataset, kernel: KernelConfig, beta,
@@ -821,7 +869,7 @@ def profile_loglik(data: Dataset, kernel: KernelConfig, beta,
     """
     state, _, cats = _initial_state(
         data, kernel, None, SmoothState(beta, start.m, start.reference))
-    return _Solves(data, kernel, cats, tol).curve(state)
+    return _Solves(data, kernel, cats, tol).curve(state)[0]
 
 
 def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
@@ -845,7 +893,12 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     reference is the fit's.  Local steps are clipped at ``STEP_CAP``, with
     at most ``_BURNIN_SWEEPS`` passes per solve.
 
-    ``beta_se`` comes from the full (K-1) p profile information H.  A fit
+    J = dm/dbeta comes from the closing sweep of the curve solve at the
+    current coefficients (see the module docstring): with K = 2 that pass
+    is exact, so J is exact up to the curve tolerance of the m it is taken
+    at; with K >= 3 the Jacobian solve continues from it to
+    ``_JACOBIAN_TOL``.  ``beta_se`` comes from the full (K-1) p profile
+    information H.  A fit
     in which some curve or Jacobian solve stopped at its pass cap carries
     a warning, since the trace entry or score it fed is then inexact.
     """
@@ -858,13 +911,12 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     # (or near) the least favourable curve of the current coefficients.
     # Without this, starting values with a linear t-part would force the
     # joint likelihood downhill before the profile iteration can begin.
-    ll = solves.curve(state)
+    ll, J, J_change = solves.curve(state)
     trace = [ll]
     converged = False
     iterations = 0
-    J = None
     for iterations in range(1, max_iter + 1):
-        J = solves.jacobian(state, J)
+        J, J_change = solves.jacobian(state, J, J_change)
         step = _newton_step(*_score_information(data, state, J))
         m_dir = J @ step          # dm along the step: the predictor
         step = step.reshape(state.beta.shape)
@@ -873,7 +925,7 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
         for _ in range(61):
             state.beta = beta_prev + lam * step
             state.m = m_prev + lam * m_dir
-            ll_new = solves.curve(state)
+            ll_new, J_new, J_new_change = solves.curve(state, J)
             if ll_new >= ll - 1e-9:
                 break
             lam *= 0.5
@@ -884,13 +936,13 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
             break
         delta = max(float(np.abs(state.beta - beta_prev).max(initial=0.0)),
                     float(np.abs(state.m - m_prev).max()))
-        ll = ll_new
+        ll, J, J_change = ll_new, J_new, J_new_change
         trace.append(ll)
         if lam == 1.0 and delta < tol:
             converged = True
             break
 
-    J = solves.jacobian(state, J)
+    J, _ = solves.jacobian(state, J, J_change)
     _, info = _score_information(data, state, J)
     if not converged:
         warnings.append(f"no convergence after {iterations} iterations")

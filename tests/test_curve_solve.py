@@ -12,23 +12,28 @@ from conftest import random_state_dataset, sine_dgp
 TOL = 1e-9
 
 
-def plain_resolve(data, state, cats, wcache, tol, max_sweeps=None):
-    """Reference: unmixed Gauss-Seidel passes, same stop rule and returns."""
+def plain_resolve(data, state, cats, wcache, tol, J=None, max_sweeps=None):
+    """Reference: unmixed Gauss-Seidel passes, same stop rule and returns,
+    the sweeps carrying the running dm/dbeta."""
     if max_sweeps is None:
         max_sweeps = profile._BURNIN_SWEEPS
+    n_rows = len(cats)
+    J = np.zeros((n_rows, data.n, n_rows * data.p)) if J is None else J.copy()
     worst_cap = 0.0
     for _ in range(max_sweeps):
         delta = 0.0
         hits_total = 0
+        J_in = J.copy()
         for row, k in enumerate(cats):
-            mu, hits = profile._m_sweep(data, state, row, int(k), wcache)
+            mu, hits = profile._m_sweep(data, state, row, int(k), wcache, J)
             delta = max(delta, float(np.abs(mu - state.m[row]).max()))
             hits_total += hits
             state.m[row] = mu
-        worst_cap = max(worst_cap, hits_total / (data.n * len(cats)))
+        worst_cap = max(worst_cap, hits_total / (data.n * n_rows))
+        J_change = float(np.abs(J - J_in).max(initial=0.0))
         if delta < tol:
-            return worst_cap, True, delta
-    return worst_cap, False, delta
+            return (worst_cap, J, J_change), True, delta
+    return (worst_cap, J, J_change), False, delta
 
 
 def start_problem(K, n, seed, scale=0.5):

@@ -8,7 +8,6 @@ import pytest
 
 from semilogit import ConfigError, EmptyDatasetError, simulate
 from semilogit.dataio import (
-    dataset_config,
     fmt,
     load_csv,
     load_fit_state,
@@ -142,7 +141,10 @@ class TestLoadCsv:
         data = simulate(make_dgp(K=3, n=80, seed=21))
         f = tmp_path / "rt.csv"
         write_dataset_csv(data, f)
-        again, report = load_csv(f, dataset_config(data))
+        columns = {"y": "response",
+                   **{f"x{j + 1}": "parametric" for j in range(data.p)},
+                   **{f"t{d + 1}": "smooth" for d in range(data.q)}}
+        again, report = load_csv(f, read_config({"columns": columns}))
         # labels map by first appearance; translate back before comparing
         back = np.array([int(again.labels[v - 1]) for v in again.y])
         assert np.array_equal(data.y, back)
