@@ -5,7 +5,10 @@ refit on the subsample that excludes one category: under independence of
 irrelevant alternatives the shared coefficients should not move.  The
 Hausman-McFadden statistic may come out negative in finite samples (the
 difference of covariance matrices need not be positive definite); it is
-reported as computed, with a note, rather than clamped.
+reported as computed, with a note, rather than clamped.  A note also
+names each fit behind a statistic that did not converge.  A batch over
+the drops shares one full-sample fit (Hausman-McFadden) or one pair of
+half-sample fits (Small-Hsiao); each drop adds one restricted fit.
 
 The chi-square upper tail is computed in-package from the regularized
 incomplete gamma function (series for small arguments, Lentz continued
@@ -119,11 +122,6 @@ def _drop_category(data: Dataset, drop: int, reference: int):
     return restricted, int(np.searchsorted(kept, reference) + 1)
 
 
-def _shared_rows(full, drop):
-    """Row indices of the full fit whose categories survive the drop."""
-    return np.flatnonzero(full.categories != drop)
-
-
 def _check_drop(data, drop, reference):
     if data.n_categories < 3:
         raise ConfigError("IIA tests need at least 3 categories")
@@ -131,6 +129,40 @@ def _check_drop(data, drop, reference):
         raise ConfigError("cannot drop the reference category")
     if not 1 <= drop <= data.n_categories:
         raise ConfigError(f"drop category {drop} outside 1..{data.n_categories}")
+
+
+def _entry(method, drop, statistic, df, notes, *fits):
+    """One drop's result; each (name, fit) that did not converge adds a note."""
+    notes += [f"{name} fit did not converge" for name, fit in fits if not fit.converged]
+    return IIATestResult(statistic=statistic, df=df,
+                         p_value=chi_square_upper_tail(statistic, df),
+                         dropped_category=drop, method=method, note="; ".join(notes))
+
+
+def _hausman_mcfadden(data, reference):
+    """The test of each drop, against one full-sample fit made here."""
+    full = fit_parametric(data, reference=reference)
+
+    def test(drop):
+        restricted_data, new_ref = _drop_category(data, drop, reference)
+        restricted = fit_parametric(restricted_data, reference=new_ref)
+        rows = np.flatnonzero(full.categories != drop)   # rows the drop keeps
+        flat = np.arange(full.vcov.shape[0]).reshape(full.coefficients.shape)[rows].ravel()
+        d = restricted.coefficients.ravel() - full.coefficients[rows].ravel()
+        V = restricted.vcov - full.vcov[np.ix_(flat, flat)]
+        notes = []
+        try:
+            np.linalg.cholesky(V)
+            statistic = float(d @ np.linalg.solve(V, d))
+        except np.linalg.LinAlgError:
+            statistic = float(d @ np.linalg.pinv(V) @ d)
+            notes.append("covariance difference not positive definite; "
+                         "generalized inverse used")
+        if statistic < 0:
+            notes.append("negative statistic (finite-sample pathology)")
+        return _entry("HausmanMcFadden", drop, statistic, d.size, notes,
+                      ("full", full), ("restricted", restricted))
+    return test
 
 
 def hausman_mcfadden(data: Dataset, drop: int, *,
@@ -144,44 +176,11 @@ def hausman_mcfadden(data: Dataset, drop: int, *,
     """
     reference = data.n_categories if reference is None else reference
     _check_drop(data, drop, reference)
-    full = fit_parametric(data, reference=reference)
-    restricted_data, new_ref = _drop_category(data, drop, reference)
-    restricted = fit_parametric(restricted_data, reference=new_ref)
-
-    rows = _shared_rows(full, drop)
-    pp = full.coefficients.shape[1]
-    flat = np.concatenate([np.arange(r * pp, (r + 1) * pp) for r in rows])
-    d = restricted.coefficients.ravel() - full.coefficients[rows].ravel()
-    V = restricted.vcov - full.vcov[np.ix_(flat, flat)]
-
-    note = ""
-    try:
-        np.linalg.cholesky(V)
-        statistic = float(d @ np.linalg.solve(V, d))
-    except np.linalg.LinAlgError:
-        statistic = float(d @ np.linalg.pinv(V) @ d)
-        note = "covariance difference not positive definite; generalized inverse used"
-    if statistic < 0:
-        note = (note + "; " if note else "") + "negative statistic (finite-sample pathology)"
-    df = d.size
-    return IIATestResult(statistic=statistic, df=df,
-                         p_value=chi_square_upper_tail(statistic, df),
-                         dropped_category=drop, method="HausmanMcFadden",
-                         note=note)
+    return _hausman_mcfadden(data, reference)(drop)
 
 
-def small_hsiao(data: Dataset, drop: int, seed: int, *,
-                reference: int | None = None) -> IIATestResult:
-    """Small-Hsiao IIA test with a seeded random half-split.
-
-    Full-model fits on both halves are blended as
-    ``beta_AB = beta_A / sqrt(2) + (1 - 1/sqrt(2)) beta_B``; the statistic
-    is the likelihood-ratio distance, on the restricted half-B sample,
-    between that blend and the restricted refit.
-    """
-    reference = data.n_categories if reference is None else reference
-    _check_drop(data, drop, reference)
-
+def _small_hsiao(data, seed, reference):
+    """The test of each drop, against one pair of half-sample fits made here."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     perm = rng.permutation(data.n)
     half_a = data.subset(np.sort(perm[:data.n // 2]))
@@ -195,15 +194,29 @@ def small_hsiao(data: Dataset, drop: int, seed: int, *,
     fit_b = fit_parametric(half_b, reference=reference)
     blend = _SQRT_HALF * fit_a.coefficients + (1.0 - _SQRT_HALF) * fit_b.coefficients
 
-    restricted_b, new_ref = _drop_category(half_b, drop, reference)
-    rows = _shared_rows(fit_b, drop)
-    ll_blend = coefficient_log_likelihood(restricted_b, blend[rows], new_ref)
-    refit = fit_parametric(restricted_b, reference=new_ref)
-    statistic = float(-2.0 * (ll_blend - refit.loglik))
-    df = refit.coefficients.size
-    return IIATestResult(statistic=statistic, df=df,
-                         p_value=chi_square_upper_tail(statistic, df),
-                         dropped_category=drop, method="SmallHsiao")
+    def test(drop):
+        restricted_b, new_ref = _drop_category(half_b, drop, reference)
+        rows = np.flatnonzero(fit_b.categories != drop)
+        ll_blend = coefficient_log_likelihood(restricted_b, blend[rows], new_ref)
+        refit = fit_parametric(restricted_b, reference=new_ref)
+        return _entry("SmallHsiao", drop, float(-2.0 * (ll_blend - refit.loglik)),
+                      refit.coefficients.size, [], ("half-sample A", fit_a),
+                      ("half-sample B", fit_b), ("restricted", refit))
+    return test
+
+
+def small_hsiao(data: Dataset, drop: int, seed: int, *,
+                reference: int | None = None) -> IIATestResult:
+    """Small-Hsiao IIA test with a seeded random half-split.
+
+    Full-model fits on both halves are blended as
+    ``beta_AB = beta_A / sqrt(2) + (1 - 1/sqrt(2)) beta_B``; the statistic
+    is the likelihood-ratio distance, on the restricted half-B sample,
+    between that blend and the restricted refit.
+    """
+    reference = data.n_categories if reference is None else reference
+    _check_drop(data, drop, reference)
+    return _small_hsiao(data, seed, reference)(drop)
 
 
 def iia_all_permutations(data: Dataset, method: str, seed: int = 0, *,
@@ -211,18 +224,22 @@ def iia_all_permutations(data: Dataset, method: str, seed: int = 0, *,
     """Run one IIA test per eligible dropped category.
 
     Individual failures become entries with NaN statistics and the error
-    message in the note; they do not abort the batch.
+    message in the note; they do not abort the batch.  A shared fit that
+    fails is made again for the next drop, so each entry reads as the
+    single-drop call would.
     """
     reference = data.n_categories if reference is None else reference
-    if method not in ("HausmanMcFadden", "SmallHsiao"):
+    tests = {"HausmanMcFadden": lambda: _hausman_mcfadden(data, reference),
+             "SmallHsiao": lambda: _small_hsiao(data, seed, reference)}
+    if method not in tests:
         raise ConfigError(f"unknown IIA test method {method!r}")
-    results = []
+    results, test = [], None
     for drop in nonreference_categories(data.n_categories, reference):
         try:
-            if method == "HausmanMcFadden":
-                res = hausman_mcfadden(data, int(drop), reference=reference)
-            else:
-                res = small_hsiao(data, int(drop), seed, reference=reference)
+            if test is None:
+                _check_drop(data, int(drop), reference)
+                test = tests[method]()
+            res = test(int(drop))
         except Exception as err:  # per-entry failure, not fatal
             res = IIATestResult(statistic=float("nan"), df=0,
                                 p_value=float("nan"), dropped_category=int(drop),

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, dataset_log_likelihood, nonreference_categories, softmax_probabilities
+from .core import (Dataset, _row_reduce, dataset_log_likelihood, nonreference_categories,
+                   softmax_probabilities)
 from .exceptions import (
     InsufficientDataError,
     NonIdentifiedError,
@@ -89,7 +90,7 @@ def _loglik_gain(P, delta, y):
     """
     picked = delta[np.arange(delta.shape[0]), y - 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sum(picked - np.log1p(np.sum(P * np.expm1(delta), axis=1))))
+        return float(np.sum(picked - np.log1p(_row_reduce(np.add, P * np.expm1(delta)))))
 
 
 def _score_and_information(Z, Y1h, Pn):

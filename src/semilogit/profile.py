@@ -97,6 +97,7 @@ import numpy as np
 from .core import (
     STEP_CAP,
     Dataset,
+    _row_reduce,
     dataset_log_likelihood,
     linear_predictors,
     nonreference_categories,
@@ -471,11 +472,6 @@ class _Logistic:
         return WP, Q
 
 
-def _row_dots(A, B):
-    """sum_j A_ij B_ij per row."""
-    return np.einsum("ij,ij->i", A, B)
-
-
 def _newton_steps(score, info, where):
     """Local Newton steps score / info of m, where info = sum_j w p (1 - p)
     is minus the local curvature."""
@@ -484,13 +480,12 @@ def _newton_steps(score, info, where):
     return score / info
 
 
-def _local_steps(W, yk, logit, mu, where):
-    """Local Newton steps of m for the query points mu of W's rows."""
+def _local_steps(W, Wy, logit, mu, where):
+    """Local Newton steps of m for the query points mu of W's rows; Wy = W y_k."""
     # np.dot, not @, here and in the passes: numpy's matmul keeps the
     # interpreter lock through a single product, and the other threads wait
     WP, Q = logit.weighted(W, mu)
-    return _newton_steps(np.dot(W, yk) - np.dot(WP, logit.ones), _row_dots(WP, Q),
-                         where)
+    return _newton_steps(Wy - np.dot(WP, logit.ones), np.einsum("ij,ij->i", WP, Q), where)
 
 
 def _symmetric_sums(wcache, logit, mu, y=None, R=None):
@@ -550,8 +545,8 @@ def _fixed_logit_parts(data: Dataset, state: SmoothState, row: int) -> np.ndarra
     c = A[:, row] - state.m[row]                    # x' beta_k alone
     other = np.delete(A, row, axis=1)
     if other.shape[1]:
-        M = np.maximum(other.max(axis=1), 0.0)
-        S = np.exp(-M) + np.exp(other - M[:, None]).sum(axis=1)
+        M = np.maximum(_row_reduce(np.maximum, other), 0.0)
+        S = np.exp(-M) + _row_reduce(np.add, np.exp(other - M[:, None]))
     else:
         M = np.zeros(data.n)
         S = np.ones(data.n)
@@ -1019,8 +1014,9 @@ def _solve_m_at_points(data, state, kernel, Tq):
         # seed from the most-weighted (nearest) observation point
         nearest = np.argmax(W, axis=1)
         for row in range(len(cats)):
+            Wy = np.dot(W, ys[row])      # fixed across the passes
             def step(mub):
-                return mub + np.clip(_local_steps(W, ys[row], logits[row], mub,
+                return mub + np.clip(_local_steps(W, Wy, logits[row], mub,
                                                   "at a query point"),
                                      -STEP_CAP, STEP_CAP)
             mu[row, start:stop] = _mixed_passes(step, state.m[row][nearest],

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Dataset, softmax_probabilities
+from .core import Dataset, _row_reduce, softmax_probabilities
 from .exceptions import ConfigError
 from .schema import SIMULATE, SMOOTH, walk
 
@@ -127,6 +127,6 @@ def simulate(spec: DGPSpec) -> Dataset:
          for d, law in enumerate(spec.t_laws)]) if spec.q else np.zeros((spec.n, 0))
     probs = true_probabilities(spec, x, t)
     u = np.random.default_rng(streams[-1]).random(spec.n)
-    y = 1 + (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
+    y = 1 + _row_reduce(np.add, (u[:, None] > np.cumsum(probs, axis=1)).astype(np.int64))
     y = np.minimum(y, spec.n_categories)  # guard cumsum rounding at 1.0
     return Dataset(y=y, x=x, t=t, n_categories=spec.n_categories)

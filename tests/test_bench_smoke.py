@@ -28,3 +28,6 @@ def test_perfbench_traced_quick_run_is_correct():
     # the tracer wraps named module attributes, so it fails if one is renamed
     result = run_quick("--trace", "1")
     assert "cli-pipeline.dataio.run_fit.self_s" in result["metrics"]
+    # one parametric fit, the semiparametric fit's start and 9 distinct IIA
+    # fits at K = 4 (1 + 3 Hausman-McFadden, 2 + 3 Small-Hsiao)
+    assert result["metrics"]["cli-pipeline.parametric.fit_parametric.calls"]["value"] == 11

@@ -7,12 +7,72 @@ from semilogit import (
     Dataset,
     InvalidPredictorError,
     ShapeError,
+    dataset_log_likelihood,
     log_likelihood_contribution,
     nonreference_categories,
     score_and_curvature,
     softmax_probabilities,
 )
+from semilogit.core import _row_reduce
 from semilogit.oracles import central_difference, second_difference
+
+
+def numpy_softmax(eta):
+    """The softmax by numpy's own last-axis reductions."""
+    w = np.exp(eta - eta.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def near_limits(rng, n, K):
+    """Rows of uniform(-12, 12) values, every third row near +-700."""
+    a = rng.uniform(-12.0, 12.0, size=(n, K))
+    shape = a[::3].shape
+    a[::3] = rng.choice([-700.0, 700.0], size=shape) + rng.normal(size=shape)
+    return a
+
+
+class TestRowReduce:
+    @pytest.mark.parametrize("K", range(2, 8))
+    def test_bit_equal_to_numpy_below_eight_columns(self, K):
+        rng = np.random.default_rng(K)
+        a = near_limits(rng, 3001, K)
+        for v in (a, np.exp(a - a.max(axis=1, keepdims=True)), np.expm1(a / 700.0)):
+            assert np.array_equal(_row_reduce(np.maximum, v), v.max(axis=1))
+            assert np.array_equal(_row_reduce(np.add, v), v.sum(axis=1))
+
+    @pytest.mark.parametrize("K", range(2, 8))
+    def test_softmax_and_log_likelihood_keep_numpy_bits(self, K):
+        rng = np.random.default_rng(100 + K)
+        eta = near_limits(rng, 600, K)
+        assert np.array_equal(softmax_probabilities(eta), numpy_softmax(eta))
+        y = rng.integers(1, K + 1, size=600)
+        data = Dataset(y=y, x=np.zeros((600, 0)), t=np.zeros((600, 0)),
+                       n_categories=K)
+        w = np.exp(eta - eta.max(axis=1, keepdims=True))
+        lse = eta.max(axis=1) + np.log(w.sum(axis=1))
+        picked = eta[np.arange(600), y - 1]
+        assert dataset_log_likelihood(data, eta) == float(np.sum(picked - lse))
+
+    def test_vector_is_one_row(self):
+        rng = np.random.default_rng(5)
+        for K in range(2, 8):
+            for eta in near_limits(rng, 30, K):
+                p = softmax_probabilities(eta)
+                assert p.shape == (K,)
+                assert np.array_equal(p, numpy_softmax(eta))
+                assert np.array_equal(p, softmax_probabilities(eta[None, :])[0])
+
+    def test_shape_and_predictor_errors(self):
+        for eta in ([0.5], np.zeros((3, 1)), np.zeros((2, 0))):
+            with pytest.raises(ShapeError):
+                softmax_probabilities(eta)
+        bad = np.zeros((4, 3))
+        for value in (np.nan, np.inf, -np.inf):
+            bad[2, 1] = value
+            with pytest.raises(InvalidPredictorError):
+                softmax_probabilities(bad)
+            with pytest.raises(InvalidPredictorError):
+                softmax_probabilities(bad[2])
 
 
 class TestSoftmax:

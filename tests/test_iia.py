@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from semilogit import iia
 from semilogit import (
     ConfigError,
     Dataset,
@@ -24,6 +25,22 @@ def iia_dgp(seed, n=800, K=4):
         smooth=tuple({"kind": "zero"} for _ in range(K - 1)),
         x_laws=({"kind": "normal"}, {"kind": "bernoulli", "p": 0.5}),
         t_laws=())
+
+
+def count_fits(monkeypatch, when=lambda data: True, **options):
+    """Record the K of every fit the IIA module makes; ``options`` go to
+    each fit whose dataset passes ``when``."""
+    calls, fit = [], iia.fit_parametric
+
+    def counted(data, **kw):
+        calls.append(data.n_categories)
+        return fit(data, **kw, **(options if when(data) else {}))
+    monkeypatch.setattr(iia, "fit_parametric", counted)
+    return calls
+
+
+def entry(res):
+    return res.statistic, res.df, res.p_value, res.dropped_category, res.method, res.note
 
 
 class TestChiSquareTail:
@@ -133,7 +150,7 @@ class TestSmallHsiao:
 
 
 class TestAllPermutations:
-    def test_counts_and_distinct_drops(self):
+    def test_counts_and_distinct_drops(self, monkeypatch):
         spec = DGPSpec(n_categories=5, n=1500, seed=10,
                        beta=np.linspace(-0.5, 0.5, 8).reshape(4, 2),
                        smooth=tuple({"kind": "zero"} for _ in range(4)),
@@ -141,9 +158,11 @@ class TestAllPermutations:
                                {"kind": "bernoulli", "p": 0.5}),
                        t_laws=())
         data = simulate(spec)
+        calls = count_fits(monkeypatch)
         results = iia_all_permutations(data, "HausmanMcFadden", seed=0)
         assert len(results) == 4
         assert sorted(r.dropped_category for r in results) == [1, 2, 3, 4]
+        assert calls == [5] + [4] * 4     # one full fit, one restricted per drop
 
     def test_deterministic_given_seed(self):
         data = simulate(iia_dgp(11))
@@ -161,7 +180,88 @@ class TestAllPermutations:
                        t=np.zeros((len(y), 0)), n_categories=4)
         results = iia_all_permutations(data, "SmallHsiao", seed=1)
         assert len(results) == 3
-        assert any("failed" in r.note for r in results)
+        for r in results:
+            with pytest.raises(Exception) as err:
+                small_hsiao(data, r.dropped_category, seed=1)
+            assert r.note == f"failed: {err.value}"
+            assert np.isnan(r.statistic) and r.df == 0
+
+
+class TestSharedFits:
+    def test_one_shared_fit_per_batch(self, monkeypatch):
+        data = simulate(iia_dgp(13))
+        calls = count_fits(monkeypatch)
+        iia_all_permutations(data, "HausmanMcFadden", seed=3)
+        assert calls == [4, 3, 3, 3]
+        calls.clear()
+        iia_all_permutations(data, "SmallHsiao", seed=3)
+        assert calls == [4, 4, 3, 3, 3]
+
+    @pytest.mark.parametrize("reference", [None, 2])
+    def test_entries_equal_single_drop_calls(self, reference):
+        data = simulate(iia_dgp(14, n=1000))
+        singles = {
+            "HausmanMcFadden": lambda d: hausman_mcfadden(data, d, reference=reference),
+            "SmallHsiao": lambda d: small_hsiao(data, d, 5, reference=reference)}
+        for method, single in singles.items():
+            for res in iia_all_permutations(data, method, seed=5, reference=reference):
+                assert entry(res) == entry(single(res.dropped_category))
+
+    def test_failed_shared_fit_fails_every_entry(self, monkeypatch):
+        # collinear x: the full-sample fit is not identified
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(400, 1))
+        data = Dataset(y=rng.integers(1, 5, size=400), x=np.hstack([x, 2.0 * x]),
+                       t=np.zeros((400, 0)), n_categories=4)
+        with pytest.raises(Exception) as err:
+            hausman_mcfadden(data, 1)
+        results = iia_all_permutations(data, "HausmanMcFadden")
+        assert [r.note for r in results] == [f"failed: {err.value}"] * 3
+
+    def test_drop_checked_before_any_fit(self, monkeypatch):
+        calls = count_fits(monkeypatch)
+        data = simulate(iia_dgp(16))
+        for run in (lambda: hausman_mcfadden(data, drop=4),
+                    lambda: small_hsiao(data, drop=5, seed=1)):
+            with pytest.raises(ConfigError):
+                run()
+        small = data.subset(data.y <= 2)
+        two = Dataset(y=small.y, x=small.x, t=small.t, n_categories=2)
+        results = iia_all_permutations(two, "SmallHsiao")
+        assert [r.note for r in results] == ["failed: IIA tests need at least 3 categories"]
+        assert calls == []
+
+
+class TestUnconvergedNote:
+    def test_every_unconverged_fit_is_named(self, monkeypatch):
+        data = simulate(iia_dgp(17))
+        count_fits(monkeypatch, max_iter=1)
+        for res in iia_all_permutations(data, "HausmanMcFadden"):
+            assert res.note.endswith("full fit did not converge; "
+                                     "restricted fit did not converge")
+            assert np.isfinite(res.statistic)
+        for res in iia_all_permutations(data, "SmallHsiao", seed=2):
+            assert res.note == ("half-sample A fit did not converge; half-sample B fit "
+                                "did not converge; restricted fit did not converge")
+            assert np.isfinite(res.statistic) and res.statistic != 0.0
+
+    def test_only_the_unconverged_fit_is_named(self, monkeypatch):
+        data = simulate(iia_dgp(18))
+        count_fits(monkeypatch, when=lambda d: d.n_categories == 3, max_iter=1)
+        for method in ("HausmanMcFadden", "SmallHsiao"):
+            for res in iia_all_permutations(data, method, seed=6):
+                assert res.note.endswith("restricted fit did not converge")
+                assert res.note.count("did not converge") == 1
+
+    def test_converged_fits_add_no_note(self):
+        data = simulate(iia_dgp(19))
+        allowed = {"", "negative statistic (finite-sample pathology)",
+                   "covariance difference not positive definite; generalized inverse used",
+                   "covariance difference not positive definite; generalized inverse "
+                   "used; negative statistic (finite-sample pathology)"}
+        for method in ("HausmanMcFadden", "SmallHsiao"):
+            for res in iia_all_permutations(data, method, seed=4):
+                assert res.note in allowed
 
 
 class TestReferenceInvariance:
