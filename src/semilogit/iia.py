@@ -133,7 +133,7 @@ def _check_drop(data, drop, reference):
 
 def _entry(method, drop, statistic, df, notes, *fits):
     """One drop's result; each (name, fit) that did not converge adds a note."""
-    notes += [f"{name} fit did not converge" for name, fit in fits if not fit.converged]
+    notes = notes + [f"{name} fit did not converge" for name, f in fits if not f.converged]
     return IIATestResult(statistic=statistic, df=df,
                          p_value=chi_square_upper_tail(statistic, df),
                          dropped_category=drop, method=method, note="; ".join(notes))
