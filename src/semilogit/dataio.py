@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .core import Dataset
-from .exceptions import ConfigError, EmptyDatasetError, ShapeError
+from .exceptions import ConfigError, EmptyDatasetError
 from .iia import hausman_mcfadden, iia_all_permutations, small_hsiao
 from .kernels import KernelConfig, bandwidth_from_scale, bandwidth_grid
 from .parametric import fit_parametric
@@ -458,8 +458,6 @@ def run_fit(config: dict) -> int:
     else:
         if "bandwidths" in config["kernel"]:
             kernel = KernelConfig(bandwidths=config["kernel"]["bandwidths"])
-            if kernel.q != data.q:
-                raise ShapeError(f"{kernel.q} bandwidths for q={data.q}")
         else:
             kernel = bandwidth_from_scale(data.t, config["kernel"]["scale"])
         fit = fit_semiparametric(data, kernel, reference=reference, **opts)

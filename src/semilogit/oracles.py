@@ -37,6 +37,18 @@ from .exceptions import (
 from .kernels import KernelConfig, kernel_weight, kernel_weights
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Interval width at which the golden-section and bisection searches stop,
+# and the cap on golden-section steps and on bracket expansions.
+_SEARCH_TOL = 1e-12
+_SEARCH_STEPS = 200
+_BRACKET_STEP = 1.0           # first half-width of a coordinate bracket
+_BISECTION_BRACKET = 50.0     # oracle_local_solve searches [-50, 50]
+# oracle_mle stops when a sweep moves no coordinate by this much (and the
+# objective has settled), after at most _MLE_SWEEPS sweeps.
+_COORDINATE_TOL = 1e-7
+_MLE_SWEEPS = 400
+_FIRST_DIFFERENCE_STEP = 1e-6
+_SECOND_DIFFERENCE_STEP = 1e-4
 
 
 def log_likelihood_contribution(eta, y: int) -> float:
@@ -67,14 +79,13 @@ def score_and_curvature(eta, y: int, k: int) -> tuple:
     return float((y == k) - p), float(-p * (1.0 - p))
 
 
-def golden_section(f, a: float, b: float, tol: float = 1e-12,
-                   max_iter: int = 200) -> float:
+def golden_section(f, a: float, b: float) -> float:
     """Minimum of a unimodal function on [a, b] by golden-section search."""
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < tol:
+    for _ in range(_SEARCH_STEPS):
+        if b - a < _SEARCH_TOL:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -87,12 +98,11 @@ def golden_section(f, a: float, b: float, tol: float = 1e-12,
     return 0.5 * (a + b)
 
 
-def _bracket_minimum(f, x0: float, step: float = 1.0,
-                     max_expansions: int = 200) -> tuple:
+def _bracket_minimum(f, x0: float) -> tuple:
     """Interval [a, b] containing the minimiser of a convex f."""
-    a, m, b = x0 - step, x0, x0 + step
+    a, m, b = x0 - _BRACKET_STEP, x0, x0 + _BRACKET_STEP
     fa, fm, fb = f(a), f(m), f(b)
-    for _ in range(max_expansions):
+    for _ in range(_SEARCH_STEPS):
         if fm <= fa and fm <= fb:
             return a, b
         if fa < fm:
@@ -104,16 +114,14 @@ def _bracket_minimum(f, x0: float, step: float = 1.0,
     raise OracleFailureError("could not bracket the coordinate minimum")
 
 
-def oracle_mle(data: Dataset, *, reference: int | None = None,
-               include_smooth: bool = True, coordinate_tol: float = 1e-7,
-               max_sweeps: int = 400) -> np.ndarray:
+def oracle_mle(data: Dataset, *, reference: int | None = None) -> np.ndarray:
     """Parametric-MNL maximum likelihood by derivative-free search.
 
     Cyclic coordinate descent on the negative log-likelihood, each
     coordinate minimised exactly (golden section on a convex slice).
     Intended for small instances (total free parameters <= 30); returns
-    the (K-1, p') coefficient matrix in the same layout as the Newton
-    fitter.
+    the (K-1, p') coefficient matrix of the intercept, x and linear t
+    terms, in the same layout as the Newton fitter.
 
     The stopping tolerance sits above the ~1e-8 positional noise floor
     of derivative-free 1-D searches (objective changes near the minimum
@@ -124,7 +132,7 @@ def oracle_mle(data: Dataset, *, reference: int | None = None,
     reference = K if reference is None else reference
     cats = nonreference_categories(K, reference)
     cols = [np.ones((data.n, 1)), data.x]
-    if include_smooth and data.q:
+    if data.q:
         cols.append(data.t)
     Z = np.hstack(cols)
     pp = Z.shape[1]
@@ -140,7 +148,7 @@ def oracle_mle(data: Dataset, *, reference: int | None = None,
         return -float(np.sum(eta[np.arange(data.n), y_col] - np.log(denom)))
 
     current = negll()
-    for _ in range(max_sweeps):
+    for _ in range(_MLE_SWEEPS):
         max_move = 0.0
         for r in range(K - 1):
             col = cats[r] - 1
@@ -160,24 +168,23 @@ def oracle_mle(data: Dataset, *, reference: int | None = None,
                                  - np.log(rest + np.exp(base + v * z)).sum())
 
                 a, b = _bracket_minimum(f, theta[r, c])
-                v = golden_section(f, a, b, tol=1e-12)
+                v = golden_section(f, a, b)
                 max_move = max(max_move, abs(v - theta[r, c]))
                 theta[r, c] = v
                 eta[:, col] = base + v * z
         new = negll()
-        if max_move < coordinate_tol and current - new < 1e-12:
+        if max_move < _COORDINATE_TOL and current - new < 1e-12:
             return theta
         current = new
-    raise OracleFailureError(f"no convergence in {max_sweeps} sweeps")
+    raise OracleFailureError(f"no convergence in {_MLE_SWEEPS} sweeps")
 
 
-def oracle_local_solve(data: Dataset, k: int, t, state, kernel: KernelConfig,
-                       bracket: float = 50.0, tol: float = 1e-12) -> float:
+def oracle_local_solve(data: Dataset, k: int, t, state, kernel: KernelConfig) -> float:
     """Root of the local first-order condition in m_k(t), by bisection.
 
     The kernel-weighted score is strictly decreasing in the candidate
-    value (every l'' is negative), so the root inside [-bracket, bracket]
-    is unique when the score changes sign there; a one-sided score means
+    value (every l'' is negative), so the root inside
+    [-_BISECTION_BRACKET, _BISECTION_BRACKET] is unique when the score changes sign there; a one-sided score means
     the local likelihood has no interior maximum.
     """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -194,13 +201,13 @@ def oracle_local_solve(data: Dataset, k: int, t, state, kernel: KernelConfig,
         e = np.exp(ck + mu)
         return float(w @ (hit - e / (e + rest)))
 
-    lo, hi = -bracket, bracket
+    lo, hi = -_BISECTION_BRACKET, _BISECTION_BRACKET
     s_lo, s_hi = score(lo), score(hi)
     if not (s_lo > 0.0 > s_hi):
         raise SeparationError(
-            f"local score is one-sided on [{-bracket}, {bracket}] "
+            f"local score is one-sided on [{lo}, {hi}] "
             f"(score({lo})={s_lo:.3e}, score({hi})={s_hi:.3e})")
-    while hi - lo > tol:
+    while hi - lo > _SEARCH_TOL:
         mid = 0.5 * (lo + hi)
         if score(mid) > 0.0:
             lo = mid
@@ -237,15 +244,15 @@ def local_smoothed_score(data: Dataset, k: int, t, m_value: float,
 
 
 def local_m_update(data: Dataset, k: int, t, m_value: float,
-                   state, kernel: KernelConfig,
-                   step_cap: float = STEP_CAP) -> float:
-    """One Newton step of the local likelihood in m_k(t)."""
+                   state, kernel: KernelConfig) -> float:
+    """One Newton step of the local likelihood in m_k(t), clipped at
+    ``STEP_CAP``."""
     score, curvature = local_smoothed_score(data, k, t, m_value, state, kernel)
     if curvature >= 0.0:
         raise NumericalFailureError(
             f"nonnegative local curvature {curvature} at query point")
     step = -score / curvature
-    return m_value + float(np.clip(step, -step_cap, step_cap))
+    return m_value + float(np.clip(step, -STEP_CAP, STEP_CAP))
 
 
 def m_gradient(data: Dataset, k: int, t, m_value: float,
@@ -266,11 +273,13 @@ def m_gradient(data: Dataset, k: int, t, m_value: float,
     return -num / den
 
 
-def central_difference(f, x: float, h: float = 1e-6) -> float:
+def central_difference(f, x: float) -> float:
     """Two-sided first difference quotient."""
+    h = _FIRST_DIFFERENCE_STEP
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def second_difference(f, x: float, h: float = 1e-4) -> float:
+def second_difference(f, x: float) -> float:
     """Central second difference quotient."""
+    h = _SECOND_DIFFERENCE_STEP
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)

@@ -28,23 +28,24 @@ So, with M_k = W * P_k * (1 - P_k) and D_k its row sums,
   J_k = D_k^{-1} M_k [-x e_k + sum_{s != k} pi_s (x e_s + J_s)],
 
 one blocked pass per category over the same kernel as the curve sweep.
-Each curve sweep makes that pass as well: it forms W * P and Q for every
-block anyway, so it multiplies the block by Q once and takes one product
-with [1 | rhs_k], whose first column is the local information of its
-Newton step.  The right-hand side comes from the running J, the previous
-iteration's (zeros for the first solve), so a curve solve hands the
-Jacobian solve the pass of its closing sweep.  That pass is made at the
-closing sweep's input m, which lies within the curve tolerance of the
-solved m.
+Both solves loop over one such pass, :func:`_category_pass`: it forms
+rhs_k from the running J and takes one product of every block with
+[1 | rhs_k], whose first column is the local information.  Given
+category k's response indicator it also sums the local scores, so the
+pass is a curve sweep too and returns its Newton step.  The running J
+is the previous iteration's (zeros for the first solve), so a curve
+solve hands the Jacobian solve the pass of its closing sweep.  That pass
+is made at the closing sweep's input m, which lies within the curve
+tolerance of the solved m.
 
 Both solves are Gauss-Seidel passes over the categories.  With K >= 3
 they are coupled and converge only linearly, so the stacked vector is
 Anderson-mixed from its last few passes (Anderson 1965; Walker & Ni
-2011).  With K = 2 there is one uncoupled curve: each curve pass is a
-pointwise Newton step converging quadratically and runs plain, and one
-Jacobian pass is exact, so the closing sweep's J is the fit's and a K = 2
-fit makes no separate Jacobian pass.  With K >= 3 the Jacobian solve
-continues from the closing sweep's J.
+2011), and the Jacobian solve continues from the closing sweep's J.
+With K = 2 there is one uncoupled curve: each curve pass is a pointwise
+Newton step converging quadratically and runs plain, and one Jacobian
+pass is exact, so the closing sweep's J is the fit's and a K = 2 fit
+makes no separate Jacobian pass.
 
 Identifiability: the reference category's beta row and m row are
 structurally zero and never stored.
@@ -142,20 +143,18 @@ _CACHE_LIMIT = 6000
 # Cap on passes per curve or Jacobian solve and on steps per query point.
 _BURNIN_SWEEPS = 200
 # Residual differences kept by the Anderson-mixed curve and Jacobian
-# solves.  _m_sweep + _m_gradients_all calls per fit at n=800, with the
-# trial solves started at the first-order prediction: K=3 at kernel
-# scale 0.5 on DGP seeds 1, 3, 5 and at scale 0.2 on seed 1 (sine/linear
-# DGP of perfbench's k3-curve); K=4 at scale 0.5 (sine_dgp(4, 800, 1) of
-# tests/conftest.py):
-#     plain passes    66+130 /  62+120 /  64+132    88+166   126+309
-#     depth 1         48+84  /  46+84  /  44+90     64+114    78+189
-#     depth 2         42+72  /  40+72  /  38+74     54+98     75+150
-#     depth 3         40+66  /  40+64  /  40+66     52+90     75+135
-#     depth 5         40+62  /  40+64  /  40+64     50+84     69+123
-# Deeper histories pay little after 3; K=2 fits (9 + 5 on seed 1) never
-# mix.  The table predates the Jacobian pass of every curve sweep, which
-# cut the depth-3 Jacobian calls of the same fits to 38 / 42 / 42 at
-# scale 0.5 and to 81 at K=4, and the K=2 ones to 0.
+# solves.  _category_pass calls per fit at n=800, sweeps + Jacobian-only
+# passes, with the trial solves started at the first-order prediction:
+# K=3 at kernel scale 0.5 on DGP seeds 1, 3, 5 and at scale 0.2 on seed 1
+# (sine/linear DGP of perfbench's k3-curve); K=4 at scale 0.5
+# (sine_dgp(4, 800, 1) of tests/conftest.py):
+#     plain passes    66+66  /  62+60  /  64+72     88+82    126+183
+#     depth 1         48+40  /  46+40  /  44+44     64+56     78+102
+#     depth 2         42+36  /  40+42  /  38+42     54+48     75+84
+#     depth 3         40+38  /  40+42  /  40+42     52+50     75+81
+#     depth 5         40+38  /  40+42  /  40+42     50+50     69+81
+# Deeper histories pay little after 2; K=2 fits (9 + 0 on seed 1) never
+# mix.
 _ANDERSON_DEPTH = 3
 # Max-norm change of dm/dbeta at which the Jacobian solve stops.  J is of
 # the order of x, so the score it feeds is exact to about 1e-10 per
@@ -342,18 +341,16 @@ def _triangle_blocks(n: int):
 
 
 def _cross_weights(kernel: KernelConfig, Tq: np.ndarray, T: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray) -> np.ndarray:
     """Gaussian weights exp(-|z|^2 / 2), z = (tq - t) / h, shape (G, n).
 
     The kernel's normalising constant is left out: every ratio the fitter
     and the surface solve form is unchanged by it, and for tiny bandwidths
     or many smooth covariates it overflows.  The coordinates are scaled
     once by 1 / (h sqrt 2), so each pair costs a difference, a square and
-    an exponential.  Written into ``out`` when given; callers pass one
+    an exponential.  Written into ``out``, which callers size to one
     block of at most ``_BLOCK_DOUBLES`` weights.
     """
-    if out is None:
-        out = np.empty((Tq.shape[0], T.shape[0]))
     scale = 1.0 / (np.sqrt(2.0) * kernel.bandwidths)
     Aq, A = Tq * scale, T * scale
     for d in range(A.shape[1]):
@@ -404,11 +401,11 @@ class _WeightCache:
     def _fill(self, start, stop, W):
         return _cross_weights(self.kernel, self.T[start:stop], self.T[start:], out=W)
 
-    def blocks(self, chunk=None):
+    def blocks(self, chunk):
         """(start, stop, W[start:stop, start:]) for every row block of
-        ``chunk`` (default: all of them)."""
+        ``chunk``."""
         n = self.T.shape[0]
-        for start, stop in self.layout if chunk is None else chunk:
+        for start, stop in chunk:
             if self.cached:
                 yield start, stop, self._views[start]
             else:
@@ -447,7 +444,7 @@ class _Logistic:
         eg = None if emu is None else self.eg[cols]
         return self._fill(W, mu, emu, self.g[cols], eg)
 
-    def weighted_t(self, W, rows, mu, emu=None) -> tuple:
+    def weighted_t(self, W, rows, mu, emu) -> tuple:
         """(W * P, Q) with P_ij = sigmoid(g_i + mu_j), for the offsets
         ``g[rows]`` of W's rows and the points mu of its columns
         (direction 2)."""
@@ -472,39 +469,32 @@ class _Logistic:
         return WP, Q
 
 
-def _newton_steps(score, info, where):
-    """Local Newton steps score / info of m, where info = sum_j w p (1 - p)
-    is minus the local curvature."""
-    if np.any(info <= 0.0):
-        raise NumericalFailureError(f"nonnegative local curvature {where}")
-    return score / info
-
-
-def _local_steps(W, Wy, logit, mu, where):
-    """Local Newton steps of m for the query points mu of W's rows; Wy = W y_k."""
+def _local_steps(W, Wy, logit, mu):
+    """Local Newton steps score / info of m for the query points mu of W's
+    rows, where Wy = W y_k and info = sum_j w p (1 - p) is minus the local
+    curvature."""
     # np.dot, not @, here and in the passes: numpy's matmul keeps the
     # interpreter lock through a single product, and the other threads wait
     WP, Q = logit.weighted(W, mu)
-    return _newton_steps(Wy - np.dot(WP, logit.ones), np.einsum("ij,ij->i", WP, Q), where)
+    info = np.einsum("ij,ij->i", WP, Q)
+    if np.any(info <= 0.0):
+        raise NumericalFailureError("nonnegative local curvature at a query point")
+    return (Wy - np.dot(WP, logit.ones)) / info
 
 
-def _symmetric_sums(wcache, logit, mu, y=None, R=None):
+def _symmetric_sums(wcache, logit, mu, y, R):
     """Kernel sums at every observation point, over the packed triangle.
 
     With p_ij = sigmoid(g_j + mu_i), returns the columns of
-    sum_j w_ij p_ij (1 - p_ij) R_j, shape (n, r).  ``R`` defaults to the
-    ones column, whose sums are the local informations; a Jacobian pass
-    puts the ones column first, so the informations come with its
-    products.  ``y`` adds a first column, the local scores
-    sum_j w_ij (y_j - p_ij).  Each block W[I, s:] serves rows I against
-    columns s: (direction 1) and, read down its columns past the diagonal
-    block, rows e: against columns I (direction 2).  Each chunk of
-    ``wcache`` adds into its own partial sums, which are added up in chunk
-    order.
+    sum_j w_ij p_ij (1 - p_ij) R_j, shape (n, r); a ones column of ``R``
+    gives the local informations.  Unless ``y`` is None, a first column
+    holds the local scores sum_j w_ij (y_j - p_ij).  Each block W[I, s:]
+    serves rows I against columns s: (direction 1) and, read down its
+    columns past the diagonal block, rows e: against columns I
+    (direction 2).  Each chunk of ``wcache`` adds into its own partial
+    sums, which are added up in chunk order.
     """
     n = mu.shape[0]
-    if R is None:
-        R = logit.ones[:, None]
     first = int(y is not None)      # the score column, when there is one
     # e^mu once per pass; when it is unsafe, each block decides alone
     emu = logit.exp_points(mu)
@@ -553,22 +543,6 @@ def _fixed_logit_parts(data: Dataset, state: SmoothState, row: int) -> np.ndarra
     return c - M - np.log(S)
 
 
-def _m_gradients_all(data, state, row, wcache, rhs):
-    """D_k^{-1} M_k rhs at every observation point, in one blocked pass.
-
-    M_k = W * P * (1 - P) holds category k's local curvatures and D_k its
-    row sums.  ``rhs = -x`` gives dm_k/dbeta_k with the other categories'
-    curves held fixed, shape (n, p); the profile Jacobian passes the full
-    right-hand side of the implicit-function equations.
-    """
-    logit = _Logistic(_fixed_logit_parts(data, state, row))
-    sums = _symmetric_sums(wcache, logit, state.m[row],
-                           R=np.column_stack([logit.ones, rhs]))
-    if np.any(sums[:, 0] == 0.0):
-        raise NumericalFailureError("zero curvature sum in least-favourable gradient")
-    return sums[:, 1:] / sums[:, :1]
-
-
 def _joint_loglik(data, beta, m, reference):
     eta = linear_predictors(beta, m, data.x, reference)
     return dataset_log_likelihood(data, eta)
@@ -600,28 +574,28 @@ def _jacobian_rhs(data, state, row, g, J):
     return rhs
 
 
-def _profile_jacobian(data, state, wcache, J=None, change=np.inf):
+def _profile_jacobian(data, state, wcache, J=None):
     """J_s = dm_s/dbeta at the observation points, (K-1, n, (K-1) p).
 
     Solves the implicit-function equations of the module docstring by
-    Gauss-Seidel passes over the categories, Anderson-mixed like the
-    curve solve.  The passes continue from ``J`` (zeros when None), the
-    output of a pass that changed J by ``change`` in max-norm: the closing
-    curve sweep's, or none.  With one category there is no coupling, so
-    one pass is exact and the solve stops after the first.  Returns
-    ``(J, converged, last max change)``.
+    Gauss-Seidel passes of :func:`_category_pass` without y,
+    Anderson-mixed like the curve solve, continuing from ``J`` (zeros
+    when None), the closing curve sweep's.  With one category there is no
+    coupling, so one pass is exact: a given J, made by a sweep's pass, is
+    returned as it is, and from zeros the solve stops after its first
+    pass.  Returns ``(J, converged, last max change)``, the change 0.0
+    for a J returned as given.
     """
     n_rows = state.m.shape[0]
+    if n_rows == 1 and J is not None:
+        return J, True, 0.0
     shape = (n_rows, data.n, n_rows * data.p)
     tol = _JACOBIAN_TOL if n_rows > 1 else np.inf
-    if change < tol:
-        return J, True, change
 
     def gs_pass(x):
         J = x.reshape(shape).copy()
-        for k in range(n_rows):
-            rhs = _jacobian_rhs(data, state, k, _fixed_logit_parts(data, state, k), J)
-            J[k] = _m_gradients_all(data, state, k, wcache, rhs)
+        for row in range(n_rows):
+            _category_pass(data, state, row, wcache, J)
         return J.ravel()
 
     x0 = np.zeros(math.prod(shape)) if J is None else J.ravel()
@@ -660,28 +634,30 @@ def _newton_step(score, info):
     return np.clip(direction, -10.0, 10.0)
 
 
-def _m_sweep(data, state, row, k, wcache, J=None):
-    """One local Newton step of m_k at every observation point, clipped
-    at ``STEP_CAP``, all from the snapshot ``state``.
+def _category_pass(data, state, row, wcache, J, y=None):
+    """One blocked pass of category ``row`` at the snapshot ``state``.
 
-    With ``J``, the running dm/dbeta of every category, the same blocks
-    also make one Jacobian pass at ``state``: the products with
-    [1 | rhs_k] give the local informations and M_k rhs_k, and J[row] is
-    replaced by D_k^{-1} M_k rhs_k.  Returns the new m row and the number
-    of cap-clipped updates.
+    With M_k = W * P * (1 - P) and D_k its row sums, the products of every
+    block with [1 | rhs_k], rhs_k from the running dm/dbeta ``J``, give
+    D_k and M_k rhs_k, and J[row] is replaced by D_k^{-1} M_k rhs_k.
+    Given ``y``, category k's response indicator, the pass is also a curve
+    sweep: it returns the local Newton step of m_k at every observation
+    point, clipped at ``STEP_CAP``, and the number of clipped steps.
     """
     g = _fixed_logit_parts(data, state, row)
     logit = _Logistic(g)
-    yk = (data.y == k).astype(np.float64)
-    mu = state.m[row]
-    R = None if J is None else np.column_stack(
-        [logit.ones, _jacobian_rhs(data, state, row, g, J)])
-    sums = _symmetric_sums(wcache, logit, mu, y=yk, R=R)
-    delta = _newton_steps(sums[:, 0], sums[:, 1], "during m sweep")
-    if J is not None:
-        J[row] = sums[:, 2:] / sums[:, 1:2]
-    cap_hits = int(np.count_nonzero(np.abs(delta) > STEP_CAP))
-    return mu + np.clip(delta, -STEP_CAP, STEP_CAP), cap_hits
+    R = np.column_stack([logit.ones, _jacobian_rhs(data, state, row, g, J)])
+    sums = _symmetric_sums(wcache, logit, state.m[row], y, R)
+    first = int(y is not None)      # the score column, when there is one
+    info = sums[:, first]
+    if np.any(info <= 0.0):
+        raise NumericalFailureError("nonnegative local curvature in a category pass")
+    J[row] = sums[:, first + 1:] / sums[:, first:first + 1]
+    if y is None:
+        return None
+    step = sums[:, 0] / info
+    cap_hits = int(np.count_nonzero(np.abs(step) > STEP_CAP))
+    return np.clip(step, -STEP_CAP, STEP_CAP), cap_hits
 
 
 def _anderson_mix(xs, gs):
@@ -734,7 +710,7 @@ def _mixed_passes(gs_pass, x, tol, mix):
     return x, False, delta
 
 
-def _resolve_all_m(data, state, cats, wcache, tol, J=None):
+def _resolve_all_m(data, state, cats, wcache, tol, J):
     """Solve all m rows onto the least favourable curve of state.beta.
 
     The fixed-point map G is one Gauss-Seidel pass of local Newton steps
@@ -746,36 +722,35 @@ def _resolve_all_m(data, state, cats, wcache, tol, J=None):
     solve stops when max|G(x) - x| < tol and leaves G(x), the last plain
     pass, in ``state.m``.
 
-    Each sweep also makes a Jacobian pass (see :func:`_m_sweep`), so the
-    passes carry a running dm/dbeta from ``J`` (zeros when None).  For
-    one category the closing sweep's J is exact at that sweep's input m,
-    which lies within tol of the returned m.
+    Each sweep is a :func:`_category_pass` with the category's response
+    indicator, so its Jacobian pass carries a running dm/dbeta from ``J``
+    (zeros when None).  For one category the closing sweep's J is exact
+    at that sweep's input m, which lies within tol of the returned m.
 
     Returns ``((worst per-sweep fraction of cap-clipped local updates,
-    the closing sweep's J, the max change of its Jacobian pass),
-    converged, last max change)``; ``converged`` is False when
-    ``_BURNIN_SWEEPS`` passes did not reach tol.
+    the closing sweep's J), converged, last max change)``; ``converged``
+    is False when ``_BURNIN_SWEEPS`` passes did not reach tol.
     """
     shape = state.m.shape
     J = np.zeros((shape[0], data.n, shape[0] * data.p)) if J is None else J.copy()
-    worst_cap, J_change = 0.0, np.inf
+    ys = [(data.y == k).astype(np.float64) for k in cats]
+    worst_cap = 0.0
 
     def gs_pass(x):
-        nonlocal worst_cap, J_change
+        nonlocal worst_cap
         state.m = x.reshape(shape).copy()
-        J_in = J.copy()
         hits_total = 0
-        for row, k in enumerate(cats):
-            state.m[row], hits = _m_sweep(data, state, row, int(k), wcache, J)
+        for row, y in enumerate(ys):
+            step, hits = _category_pass(data, state, row, wcache, J, y)
+            state.m[row] += step
             hits_total += hits
         worst_cap = max(worst_cap, hits_total / state.m.size)
-        J_change = float(np.abs(J - J_in).max(initial=0.0))
         return state.m.ravel().copy()
 
     m, done, delta = _mixed_passes(gs_pass, state.m.ravel().copy(), tol,
                                    mix=len(cats) > 1)
     state.m = m.reshape(shape)
-    return (worst_cap, J, J_change), done, delta
+    return (worst_cap, J), done, delta
 
 
 def starting_state(data: Dataset, reference: int) -> SmoothState:
@@ -831,25 +806,21 @@ class _Solves:
     def curve(self, state, J=None):
         """Solve ``state.m`` onto the least favourable curve of
         ``state.beta``, from ``state.m``, its sweeps carrying dm/dbeta from
-        ``J``; returns the profile log-likelihood there, the closing
-        sweep's J and the max change of its Jacobian pass."""
-        (cap, J, J_change), done, change = _resolve_all_m(
+        ``J``; returns the profile log-likelihood there and the closing
+        sweep's J."""
+        (cap, J), done, change = _resolve_all_m(
             self.data, state, self.cats, self.wcache, self.tol, J)
         self.worst_cap_fraction = max(self.worst_cap_fraction, cap)
         if not done:
             self.capped.append(change)
-        return (_joint_loglik(self.data, state.beta, state.m, state.reference),
-                J, J_change)
+        return _joint_loglik(self.data, state.beta, state.m, state.reference), J
 
-    def jacobian(self, state, J, J_change):
-        """dm/dbeta at ``state``, continuing from ``J``, the output of a
-        pass that changed it by ``J_change``; returns J and the max change
-        of its last pass."""
-        J, done, change = _profile_jacobian(self.data, state, self.wcache, J,
-                                            J_change)
+    def jacobian(self, state, J):
+        """dm/dbeta at ``state``, continuing from ``J``."""
+        J, done, change = _profile_jacobian(self.data, state, self.wcache, J)
         if not done:
             self.capped.append(change)
-        return J, change
+        return J
 
 
 def profile_loglik(data: Dataset, kernel: KernelConfig, beta,
@@ -906,12 +877,12 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     # (or near) the least favourable curve of the current coefficients.
     # Without this, starting values with a linear t-part would force the
     # joint likelihood downhill before the profile iteration can begin.
-    ll, J, J_change = solves.curve(state)
+    ll, J = solves.curve(state)
     trace = [ll]
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        J, J_change = solves.jacobian(state, J, J_change)
+        J = solves.jacobian(state, J)
         step = _newton_step(*_score_information(data, state, J))
         m_dir = J @ step          # dm along the step: the predictor
         step = step.reshape(state.beta.shape)
@@ -920,7 +891,7 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
         for _ in range(61):
             state.beta = beta_prev + lam * step
             state.m = m_prev + lam * m_dir
-            ll_new, J_new, J_new_change = solves.curve(state, J)
+            ll_new, J_new = solves.curve(state, J)
             if ll_new >= ll - 1e-9:
                 break
             lam *= 0.5
@@ -931,13 +902,13 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
             break
         delta = max(float(np.abs(state.beta - beta_prev).max(initial=0.0)),
                     float(np.abs(state.m - m_prev).max()))
-        ll, J, J_change = ll_new, J_new, J_new_change
+        ll, J = ll_new, J_new
         trace.append(ll)
         if lam == 1.0 and delta < tol:
             converged = True
             break
 
-    J, _ = solves.jacobian(state, J, J_change)
+    J = solves.jacobian(state, J)
     _, info = _score_information(data, state, J)
     if not converged:
         warnings.append(f"no convergence after {iterations} iterations")
@@ -1016,8 +987,7 @@ def _solve_m_at_points(data, state, kernel, Tq):
         for row in range(len(cats)):
             Wy = np.dot(W, ys[row])      # fixed across the passes
             def step(mub):
-                return mub + np.clip(_local_steps(W, Wy, logits[row], mub,
-                                                  "at a query point"),
+                return mub + np.clip(_local_steps(W, Wy, logits[row], mub),
                                      -STEP_CAP, STEP_CAP)
             mu[row, start:stop] = _mixed_passes(step, state.m[row][nearest],
                                                 _POINT_TOL, mix=False)[0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semilogit import DGPSpec, Dataset, simulate
+from semilogit import DGPSpec, Dataset, profile, simulate
 
 # one line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES = []
@@ -42,6 +42,21 @@ def random_state_dataset(seed, n=40, p=2, q=1, K=3):
     return data, beta, m
 
 
+def cold_jacobian(data, state):
+    """J = 0, the running dm/dbeta a fit's first curve solve starts from."""
+    n_rows = state.m.shape[0]
+    return np.zeros((n_rows, data.n, n_rows * data.p))
+
+
+def cold_sweep(data, state, row, wcache):
+    """Category ``row``'s m after one curve sweep at ``state``, its
+    Jacobian pass made from J = 0."""
+    y = (data.y == state.categories()[row]).astype(np.float64)
+    step, _ = profile._category_pass(data, state, row, wcache,
+                                     cold_jacobian(data, state), y)
+    return state.m[row] + step
+
+
 def sine_dgp(K, n, seed):
     """K categories: a sine curve and linear ones, beta near 1 in size."""
     smooth = ({"kind": "sine", "amplitude": 1.0, "frequency": 1.0},
@@ -62,3 +77,18 @@ def small_binary_data():
         x_laws=({"kind": "normal"},),
         t_laws=({"kind": "uniform", "lo": -1, "hi": 1},))
     return simulate(spec)
+
+
+@pytest.fixture
+def pass_counts(monkeypatch):
+    """Counts the profile fitter's category passes: "sweeps" are the curve
+    sweeps (passes given y), "jacobian" the Jacobian-only passes."""
+    counts = {"sweeps": 0, "jacobian": 0}
+    real = profile._category_pass
+
+    def counted(data, state, row, wcache, J, y=None):
+        counts["jacobian" if y is None else "sweeps"] += 1
+        return real(data, state, row, wcache, J, y)
+
+    monkeypatch.setattr(profile, "_category_pass", counted)
+    return counts

@@ -59,6 +59,13 @@ class TestFitCommand:
         rc = main(["fit", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
 
+    def test_bandwidths_of_the_wrong_length_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", kernel={"bandwidths": [0.5, 0.5]})
+        rc = main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "kernel has 2 bandwidths, data has q=1" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.txt").exists()
+
     def test_bad_model_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", model="wobbly")
         rc = main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -29,8 +29,8 @@ from semilogit import (
     simulate,
     softmax_probabilities,
 )
-from semilogit.profile import _m_gradients_all, _m_sweep, _WeightCache
-from conftest import random_state_dataset, sine_dgp
+from semilogit.profile import _category_pass, _WeightCache
+from conftest import cold_jacobian, cold_sweep, random_state_dataset, sine_dgp
 
 
 def zero_state(data, K):
@@ -190,7 +190,7 @@ class TestEngineMatchesPointOps:
         state = SmoothState(beta, m, reference=3)
         kern = bandwidth_from_scale(data.t, 0.8)
         cache = _WeightCache(kern, data.t)
-        swept, _ = _m_sweep(data, state, 0, 1, cache)
+        swept = cold_sweep(data, state, 0, cache)
         for i in range(data.n):
             manual = local_m_update(data, 1, data.t[i], float(m[0, i]),
                                     state, kern)
@@ -201,7 +201,12 @@ class TestEngineMatchesPointOps:
         state = SmoothState(beta, m, reference=3)
         kern = bandwidth_from_scale(data.t, 0.8)
         cache = _WeightCache(kern, data.t)
-        grads = _m_gradients_all(data, state, 1, cache, -data.x)
+        # a cold pass (J = 0): the beta_k block of its right-hand side is
+        # -x, so that block of J[row] is dm_k/dbeta_k with the other
+        # categories' curves held fixed
+        J = cold_jacobian(data, state)
+        _category_pass(data, state, 1, cache, J)
+        grads = J[1][:, data.p:]
         for i in range(0, data.n, 7):
             manual = m_gradient(data, 2, data.t[i], float(m[1, i]), state, kern)
             np.testing.assert_allclose(grads[i], manual, rtol=1e-9, atol=1e-12)
@@ -217,7 +222,7 @@ class TestBetaUpdate:
         kern = bandwidth_from_scale(data.t, 0.9)
         cache = _WeightCache(kern, data.t)
         for _ in range(80):
-            mu, _ = _m_sweep(data, state, 0, 1, cache)
+            mu = cold_sweep(data, state, 0, cache)
             if np.abs(mu - state.m[0]).max() < 1e-12:
                 break
             state.m[0] = mu

@@ -20,16 +20,10 @@ from conftest import sine_dgp
 
 @pytest.fixture
 def recorder(monkeypatch):
-    """Counts Jacobian passes; records the iterate at every Jacobian solve
-    and every Newton step taken from it."""
-    rec = {"passes": 0, "betas": [], "steps": []}
-    one_pass, jacobian, newton = (profile._m_gradients_all,
-                                  profile._profile_jacobian,
-                                  profile._newton_step)
-
-    def counted_pass(*args, **kwargs):
-        rec["passes"] += 1
-        return one_pass(*args, **kwargs)
+    """Records the iterate at every Jacobian solve and every Newton step
+    taken from it."""
+    rec = {"betas": [], "steps": []}
+    jacobian, newton = profile._profile_jacobian, profile._newton_step
 
     def recorded_jacobian(data, state, *args, **kwargs):
         rec["betas"].append(state.beta.copy())
@@ -39,7 +33,6 @@ def recorder(monkeypatch):
         rec["steps"].append(newton(*args))
         return rec["steps"][-1]
 
-    monkeypatch.setattr(profile, "_m_gradients_all", counted_pass)
     monkeypatch.setattr(profile, "_profile_jacobian", recorded_jacobian)
     monkeypatch.setattr(profile, "_newton_step", recorded_step)
     return rec
@@ -104,15 +97,7 @@ class TestLoopContract:
         assert np.array_equal(fit.beta, last_start + recorder["steps"][-1].reshape(
             fit.beta.shape))
 
-    def test_no_separate_jacobian_pass_at_k2(self, recorder, monkeypatch):
-        sweeps = [0]
-        sweep = profile._m_sweep
-
-        def counted(*args, **kwargs):
-            sweeps[0] += 1
-            return sweep(*args, **kwargs)
-
-        monkeypatch.setattr(profile, "_m_sweep", counted)
+    def test_no_separate_jacobian_pass_at_k2(self, recorder, pass_counts):
         data = sine_dgp(2, 300, seed=3)
         fit = fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5))
         assert fit.converged
@@ -120,8 +105,7 @@ class TestLoopContract:
         # every direction and the standard errors take the closing curve
         # sweep's Jacobian pass, which is exact for one category; the
         # sweeps are as many as when each direction paid a pass of its own
-        assert recorder["passes"] == 0
-        assert sweeps[0] == 9
+        assert pass_counts == {"sweeps": 9, "jacobian": 0}
 
     @pytest.mark.parametrize("n, seed", [(400, 3), (300, 1)])
     def test_k2_jacobian_is_the_jacobian_at_the_result(self, monkeypatch, n, seed):
@@ -145,25 +129,20 @@ class TestLoopContract:
         np.testing.assert_allclose(used[-1], exact, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("K, n, seed", [(3, 300, 4), (4, 250, 2)])
-    def test_each_jacobian_solve_saves_a_pass(self, monkeypatch, K, n, seed):
+    def test_each_jacobian_solve_saves_a_pass(self, monkeypatch, pass_counts,
+                                              K, n, seed):
         # every Jacobian solve of the fit against the same solve continued
         # from the previous solve's J, the warm start without the sweeps'
         # running Jacobian
-        passes = [0]
-        one_pass, jacobian = profile._m_gradients_all, profile._profile_jacobian
+        jacobian = profile._profile_jacobian
         solves = []          # (state, passes) per Jacobian solve of the fit
 
-        def counted(*args, **kwargs):
-            passes[0] += 1
-            return one_pass(*args, **kwargs)
-
         def recorded(data, state, *args, **kwargs):
-            before = passes[0]
+            before = pass_counts["jacobian"]
             out = jacobian(data, state, *args, **kwargs)
-            solves.append((state.copy(), passes[0] - before))
+            solves.append((state.copy(), pass_counts["jacobian"] - before))
             return out
 
-        monkeypatch.setattr(profile, "_m_gradients_all", counted)
         monkeypatch.setattr(profile, "_profile_jacobian", recorded)
         data = sine_dgp(K, n, seed)
         kernel = bandwidth_from_scale(data.t, 0.5)
@@ -172,10 +151,10 @@ class TestLoopContract:
         wcache = profile._WeightCache(kernel, data.t)
         J = None
         for state, fused in solves:
-            before = passes[0]
+            before = pass_counts["jacobian"]
             J, done, _ = jacobian(data, state, wcache, J)
             assert done
-            assert fused <= passes[0] - before - (K - 1)
+            assert fused <= pass_counts["jacobian"] - before - (K - 1)
 
     @pytest.mark.parametrize("K, n, seed", [(3, 300, 4), (2, 400, 3)])
     def test_trial_solves_start_at_the_first_order_prediction(
@@ -202,14 +181,14 @@ class TestLoopContract:
 
 class TestProfileLoglik:
     @pytest.mark.parametrize("K, tol", [(2, 1e-6), (3, 1e-6), (3, 1e-12)])
-    def test_is_the_first_trace_point_without_a_jacobian(self, recorder, K, tol):
+    def test_is_the_first_trace_point_without_a_jacobian(self, pass_counts, K, tol):
         data = sine_dgp(K, 300, seed=4)
         kernel = bandwidth_from_scale(data.t, 0.5)
         start = profile.starting_state(data, 1)
         beta = start.beta + 0.2
         m_start = start.m.copy()
         ll = profile_loglik(data, kernel, beta, start, tol=tol)
-        assert recorder["passes"] == 0
+        assert pass_counts["jacobian"] == 0
         assert np.array_equal(start.m, m_start)
         fit = fit_semiparametric(data, kernel, tol=tol, max_iter=0,
                                  start=SmoothState(beta, start.m, 1))

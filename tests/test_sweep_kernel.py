@@ -23,16 +23,20 @@ from semilogit import (
 from semilogit import profile
 from semilogit.core import sigmoid
 from semilogit.profile import (
-    _cross_weights,
+    _category_pass,
     _fixed_logit_parts,
+    _jacobian_rhs,
     _Logistic,
-    _m_gradients_all,
-    _m_sweep,
     _solve_m_at_points,
     _symmetric_sums,
     _WeightCache,
 )
-from conftest import random_state_dataset, sine_dgp
+from conftest import cold_jacobian, cold_sweep, random_state_dataset, sine_dgp
+
+
+def all_weights(kernel, Tq, T):
+    """Every weight between the rows of Tq and T, in one block."""
+    return profile._cross_weights(kernel, Tq, T, np.empty((Tq.shape[0], T.shape[0])))
 
 
 def _drop_pool():
@@ -90,7 +94,7 @@ class TestCrossWeights:
         kern = KernelConfig(bandwidths=rng.uniform(0.3, 1.5, size=q))
         norm = np.prod(1.0 / (np.sqrt(2.0 * np.pi) * kern.bandwidths))
         expected = np.vstack([kernel_weights(kern, tq, T) for tq in Tq])
-        np.testing.assert_allclose(norm * _cross_weights(kern, Tq, T), expected,
+        np.testing.assert_allclose(norm * all_weights(kern, Tq, T), expected,
                                    rtol=1e-13)
 
     def test_cache_filled_in_place_equals_block_rows(self, monkeypatch):
@@ -104,8 +108,9 @@ class TestCrossWeights:
         # rows per block grow as the rows shorten; n cuts the last one short
         assert cached.layout == [(0, 7), (7, 15), (15, 25), (25, 39), (39, 50)]
         assert profile._block_rows(50 - 39) > 50 - 39
-        full = _cross_weights(kern, data.t, data.t)
-        for (a, b, Wc), (a2, b2, Wu) in zip(cached.blocks(), uncached.blocks()):
+        full = all_weights(kern, data.t, data.t)
+        for (a, b, Wc), (a2, b2, Wu) in zip(cached.blocks(cached.layout),
+                                            uncached.blocks(uncached.layout)):
             assert (a, b) == (a2, b2) and Wc.shape == (b - a, data.n - a)
             np.testing.assert_array_equal(Wc, Wu)
             np.testing.assert_array_equal(Wc, full[a:b, a:])
@@ -117,11 +122,11 @@ class TestCrossWeights:
         kern = KernelConfig(bandwidths=np.full(4, 1e-80))
         state = SmoothState(beta, m, reference=2)
         cache = _WeightCache(kern, data.t)
-        for _, _, W in cache.blocks():
+        for _, _, W in cache.blocks(cache.layout):
             assert np.all(np.isfinite(W))
             np.testing.assert_array_equal(np.diagonal(W), 1.0)
         try:
-            mu, _ = _m_sweep(data, state, 0, 1, cache)
+            mu = cold_sweep(data, state, 0, cache)
         except SemilogitError:
             return
         assert np.all(np.isfinite(mu))
@@ -175,7 +180,7 @@ def _ragged_cache(monkeypatch, kern, T, cached, rows=9):
 
 def _dense(kern, data, g, mu):
     """Full kernel matrix and logistic P_ij = sigmoid(g_j + mu_i)."""
-    W = _cross_weights(kern, data.t, data.t)
+    W = all_weights(kern, data.t, data.t)
     return W, sigmoid(g[None, :] + mu[:, None])
 
 
@@ -205,22 +210,33 @@ class TestTriangularPassEqualsDense:
         yk = (data.y == k).astype(np.float64)
         step = (W @ yk - (W * P).sum(axis=1)) / (W * P * (1.0 - P)).sum(axis=1)
         expected = state.m[row] + np.clip(step, -5.0, 5.0)
-        mu, _ = _m_sweep(data, state, row, k, cache)
+        mu = cold_sweep(data, state, row, cache)
         np.testing.assert_allclose(mu, expected, rtol=1e-12, atol=1e-12)
 
     def _check_gradients(self, data, state, row, cache, W, P):
+        # a Jacobian-only pass from a random running J against the dense
+        # D^{-1} M rhs, rhs the implicit-function right-hand side at that J
         M = W * P * (1.0 - P)
-        rhs = np.random.default_rng(data.q).normal(size=(data.n, 3))
-        for given, expected_num in [(-data.x, -M @ data.x), (rhs, M @ rhs)]:
-            expected = expected_num / M.sum(axis=1)[:, None]
-            got = _m_gradients_all(data, state, row, cache, given)
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        J = np.random.default_rng(data.q).normal(size=cold_jacobian(data, state).shape)
+        g = _fixed_logit_parts(data, state, row)
+        expected = M @ _jacobian_rhs(data, state, row, g, J) / M.sum(axis=1)[:, None]
+        _category_pass(data, state, row, cache, J)
+        np.testing.assert_allclose(J[row], expected, rtol=1e-12, atol=1e-12)
 
     def test_m_sweep(self, monkeypatch, cached, K, q):
         self._check_sweep(*self._setup(monkeypatch, cached, K, q))
 
     def test_m_gradients_all(self, monkeypatch, cached, K, q):
         self._check_gradients(*self._setup(monkeypatch, cached, K, q))
+
+    def test_sweep_and_jacobian_pass_give_the_same_J(self, monkeypatch, cached, K, q):
+        data, state, row, cache, _, _ = self._setup(monkeypatch, cached, K, q)
+        J = np.random.default_rng(K).normal(size=cold_jacobian(data, state).shape)
+        swept = J.copy()
+        y = (data.y == state.categories()[row]).astype(np.float64)
+        _category_pass(data, state, row, cache, swept, y)
+        _category_pass(data, state, row, cache, J)
+        np.testing.assert_array_equal(swept, J)
 
     def test_chunks_of_several_blocks(self, monkeypatch, cached, K, q):
         parts = self._setup(monkeypatch, cached, K, q, rows=2)
@@ -237,7 +253,7 @@ class TestDirectionTwoOverflow:
         logit = _Logistic(g)
         assert logit.exp_points(mu) is None
         W = np.random.default_rng(0).uniform(size=(20, 9))
-        WP, Q = logit.weighted_t(W, slice(10, 30), mu)
+        WP, Q = logit.weighted_t(W, slice(10, 30), mu, None)
         P_ref = sigmoid(g[10:30, None] + mu[None, :])
         np.testing.assert_allclose(WP, W * P_ref, rtol=0, atol=1e-14)
         np.testing.assert_allclose(Q, 1.0 - P_ref, rtol=0, atol=1e-14)
@@ -256,12 +272,12 @@ class TestDirectionTwoOverflow:
         y = (data.y == 1).astype(np.float64)
         W, P = _dense(kern, data, g, mu)
         M = W * P * (1.0 - P)
-        sums = _symmetric_sums(cache, logit, mu, y=y)
+        sums = _symmetric_sums(cache, logit, mu, y, logit.ones[:, None])
         np.testing.assert_allclose(sums[:, 0], W @ y - (W * P).sum(axis=1),
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(sums[:, 1], M.sum(axis=1), rtol=1e-12, atol=0)
         R = rng.normal(size=(data.n, 2))
-        np.testing.assert_allclose(_symmetric_sums(cache, logit, mu, R=R), M @ R,
+        np.testing.assert_allclose(_symmetric_sums(cache, logit, mu, None, R), M @ R,
                                    rtol=1e-12, atol=1e-300)
 
 
@@ -291,8 +307,9 @@ class TestWorkCount:
             return out
 
         monkeypatch.setattr(profile, "_cross_weights", counting)
-        for one_pass in (lambda: _m_sweep(data, state, 0, 1, uncached),
-                         lambda: _m_gradients_all(data, state, 0, uncached, -data.x)):
+        for one_pass in (lambda: cold_sweep(data, state, 0, uncached),
+                         lambda: _category_pass(data, state, 0, uncached,
+                                                cold_jacobian(data, state))):
             computed.clear()
             one_pass()
             assert n * (n + 1) // 2 <= sum(computed) <= bound
@@ -313,8 +330,8 @@ class TestChunkedPool:
         R = rng.normal(size=(data.n, 3))
         fit = fit_semiparametric(data, kern)
         grid = np.linspace(-1.9, 1.9, 7 * rows_per_block + 3)[:, None]
-        return [_symmetric_sums(cache, logit, state.m[0], y=y),
-                _symmetric_sums(cache, logit, state.m[0], R=R),
+        return [_symmetric_sums(cache, logit, state.m[0], y, logit.ones[:, None]),
+                _symmetric_sums(cache, logit, state.m[0], None, R),
                 fit.beta, fit.smooth.m, fit.beta_se,
                 predict_surface(fit, data, grid, np.array([0.4]))]
 

@@ -150,11 +150,11 @@ class TestOracleMLE:
 
 class TestGoldenSection:
     def test_quadratic_minimum(self):
-        xmin = golden_section(lambda v: (v - 1.3) ** 2, -4.0, 4.0, tol=1e-12)
+        xmin = golden_section(lambda v: (v - 1.3) ** 2, -4.0, 4.0)
         assert xmin == pytest.approx(1.3, abs=1e-9)
 
     def test_asymmetric_convex(self):
         f = lambda v: np.exp(v) - 2.0 * v
-        xmin = golden_section(f, -3.0, 3.0, tol=1e-12)
+        xmin = golden_section(f, -3.0, 3.0)
         # positional accuracy is limited by objective flatness (~1e-8)
         assert xmin == pytest.approx(np.log(2.0), abs=1e-7)
