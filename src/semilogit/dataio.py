@@ -202,6 +202,14 @@ def load_csv(path, config: dict):
     return data, report
 
 
+def _output_dir(config: dict) -> Path:
+    """The run's output directory, made when the first artifact is about
+    to be written, so a run that fails before it leaves no directory."""
+    out = Path(config["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_csv(path, header, rows):
     """One header line, then one line per row; newline-terminated."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -324,9 +332,8 @@ def run_simulate(config: dict) -> int:
     """Draw the configured DGP and write data.csv plus a manifest."""
     if "simulate" not in config:
         raise ConfigError("simulate requires a 'simulate' block in the config")
-    out = Path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
     data, _, x_names, t_names = _obtain_dataset(config)
+    out = _output_dir(config)
     write_dataset_csv(data, out / "data.csv", x_names, t_names)
     entries = _config_echo(config)
     entries.update({
@@ -428,8 +435,6 @@ def run_fit(config: dict) -> int:
 
     Exit status 0 iff the fit converged (3 otherwise).
     """
-    out = Path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
     data, report, x_names, t_names = _obtain_dataset(config)
     reference = _resolve_reference(config, data)
 
@@ -447,6 +452,7 @@ def run_fit(config: dict) -> int:
         fit = fit_parametric(data, reference=reference,
                              term_names=["intercept"] + x_names + t_names,
                              **opts)
+        out = _output_dir(config)
         _write_coefficient_table(out / "coefficients.csv", fit.categories,
                                  data.labels, fit.term_names,
                                  fit.coefficients, fit.std_errors)
@@ -461,6 +467,7 @@ def run_fit(config: dict) -> int:
         else:
             kernel = bandwidth_from_scale(data.t, config["kernel"]["scale"])
         fit = fit_semiparametric(data, kernel, reference=reference, **opts)
+        out = _output_dir(config)
         _write_coefficient_table(out / "coefficients.csv", fit.categories,
                                  data.labels, x_names, fit.beta, fit.beta_se)
         _write_trace(out / "loglik_trace.csv", fit.loglik_trace)
@@ -517,9 +524,7 @@ def run_surface(config: dict, fit_dir=None) -> int:
     grid[:, order[0]], grid[:, order[1]] = a, b
     probs = predict_surface(fit, data, grid, x_fixed)
 
-    out = Path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "surface.csv",
+    _write_csv(_output_dir(config) / "surface.csv",
                [axes[0]["name"], axes[1]["name"], "category", "probability"],
                ([fmt(a[i]), fmt(b[i]), k, fmt(probs[i, k - 1])]
                 for i in range(a.size) for k in cats))
@@ -530,8 +535,6 @@ def run_iia(config: dict) -> int:
     """IIA tests for every eligible dropped category; writes a table."""
     request = walk(IIA, config.get("iia"), "iia")
     method, drop = request["method"], request.get("drop")
-    out = Path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
     data, report, _, _ = _obtain_dataset(config)
     reference = _resolve_reference(config, data)
     methods = {"hausman-mcfadden": ["HausmanMcFadden"],
@@ -548,6 +551,7 @@ def run_iia(config: dict) -> int:
             results.append(small_hsiao(data, drop, config["seed"],
                                        reference=reference))
 
+    out = _output_dir(config)
     _write_csv(out / "iia_results.csv",
                ["method", "dropped_category", "dropped_label", "statistic",
                 "df", "p_value", "note"],
@@ -563,13 +567,11 @@ def run_iia(config: dict) -> int:
 def run_bandwidth_grid(config: dict) -> int:
     """Bandwidth grid over the smooth covariates; writes scale table."""
     grid = walk(GRID, config.get("grid"), "grid")
-    out = Path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
     data, _, _, t_names = _obtain_dataset(config)
     if data.q == 0:
         raise ConfigError("bandwidth grid needs at least one smooth covariate")
-    _write_csv(out / "bandwidth_grid.csv",
+    configs = bandwidth_grid(data.t, grid["lo"], grid["hi"], grid["steps"])
+    _write_csv(_output_dir(config) / "bandwidth_grid.csv",
                ["scale"] + [f"h_{name}" for name in t_names],
-               ([fmt(kc.scale)] + [fmt(h) for h in kc.bandwidths]
-                for kc in bandwidth_grid(data.t, grid["lo"], grid["hi"], grid["steps"])))
+               ([fmt(kc.scale)] + [fmt(h) for h in kc.bandwidths] for kc in configs))
     return 0

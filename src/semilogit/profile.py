@@ -70,7 +70,10 @@ covers rows e: against columns I.  It uses the same block with
 c' = e^{g_I} e^{mu_j} and sums down its columns, so no transpose is
 formed.  Blocks hold at most ``_BLOCK_DOUBLES`` doubles, and so do the
 temporaries.  Query points against observation points are not symmetric:
-the surface solve runs plain row blocks through the same logistic.
+the surface solve runs plain row blocks through the same logistic.  Its
+g is fixed, so each point's solve is scalar Newton, converging
+quadratically, and it stops on a proven bound on the remaining error
+rather than on a pass whose step is already negligible.
 
 Every pass uses every core the process may run on.  The blocks are cut
 into ``_CHUNKS`` contiguous runs of about equal weight count, and the
@@ -164,7 +167,8 @@ _JACOBIAN_TOL = 1e-10
 # is tighter.  It holds for every trace point, the burn-in's included: a
 # sloppier start would register the remaining polish as a dip.
 _CURVE_TOL = 1e-9
-# Max-norm step of m at which a query-point solve stops.
+# Bound on |m - root| below which a query-point solve stops; the bound is
+# taken from the last Newton step (see _solve_m_at_points).
 _POINT_TOL = 1e-10
 _EXP_SAFE = 600.0           # e^g e^mu is finite while |g| + |mu| stays below
 
@@ -864,7 +868,9 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     is exact, so J is exact up to the curve tolerance of the m it is taken
     at; with K >= 3 the Jacobian solve continues from it to
     ``_JACOBIAN_TOL``.  ``beta_se`` comes from the full (K-1) p profile
-    information H.  A fit
+    information H, with J solved at the returned state; when the trace
+    guard runs out of halvings, that is the J of the last iteration's
+    start.  A fit
     in which some curve or Jacobian solve stopped at its pass cap carries
     a warning, since the trace entry or score it fed is then inexact.
     """
@@ -880,6 +886,7 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     ll, J = solves.curve(state)
     trace = [ll]
     converged = False
+    solved = False           # J is already the Jacobian solve's at state
     iterations = 0
     for iterations in range(1, max_iter + 1):
         J = solves.jacobian(state, J)
@@ -896,7 +903,9 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
                 break
             lam *= 0.5
         else:
+            # back where this iteration's Jacobian solve was made
             state.beta, state.m = beta_prev, m_prev
+            solved = True
             warnings.append(
                 f"trace guard exhausted halvings at iteration {iterations}")
             break
@@ -908,7 +917,8 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
             converged = True
             break
 
-    J = solves.jacobian(state, J)
+    if not solved:
+        J = solves.jacobian(state, J)
     _, info = _score_information(data, state, J)
     if not converged:
         warnings.append(f"no convergence after {iterations} iterations")
@@ -958,9 +968,17 @@ def _solve_m_at_points(data, state, kernel, Tq):
     """Solve the local first-order conditions at arbitrary points, (K-1, G).
 
     Each block of query points gets its kernel weights once.  On it every
-    category's smooth takes plain :func:`_mixed_passes` of local Newton
-    steps clipped at ``STEP_CAP`` from the nearest observation point's
-    value, the curve solve's stop rule with tolerance ``_POINT_TOL``.  The
+    category's smooth takes local Newton steps clipped at ``STEP_CAP``
+    from the nearest observation point's value, for at most
+    ``_BURNIN_SWEEPS`` steps.  Each point solves f(mu) = sum_j w_j (y_j -
+    sigma(g_j + mu)) = 0, where f' = -sum w sigma (1 - sigma) < 0 and
+    |f''| <= |f'|, so |f'| changes by at most a factor e^|d| over a move
+    d.  After a step s, Taylor's theorem gives |f(mu + s)| <= 1/2 s^2
+    e^|s| |f'(mu + s)|, and the same factor puts the root within
+    -log(1 - 1/2 s^2 e^|s|) of mu + s.  The block stops once its largest
+    step s has s^2 e^(2s) <= ``_POINT_TOL``, which bounds every point's
+    remaining error by 1/2 ``_POINT_TOL``, without a pass that only
+    confirms it; a step clipped at the cap never meets the rule.  The
     blocks stand alone and run on the pool; when several have a point
     without kernel weight, the first of them raises.
     """
@@ -986,11 +1004,15 @@ def _solve_m_at_points(data, state, kernel, Tq):
         nearest = np.argmax(W, axis=1)
         for row in range(len(cats)):
             Wy = np.dot(W, ys[row])      # fixed across the passes
-            def step(mub):
-                return mub + np.clip(_local_steps(W, Wy, logits[row], mub),
-                                     -STEP_CAP, STEP_CAP)
-            mu[row, start:stop] = _mixed_passes(step, state.m[row][nearest],
-                                                _POINT_TOL, mix=False)[0]
+            mub = state.m[row][nearest]
+            for _ in range(_BURNIN_SWEEPS):
+                step = np.clip(_local_steps(W, Wy, logits[row], mub),
+                               -STEP_CAP, STEP_CAP)
+                mub = mub + step
+                s = float(np.abs(step).max())
+                if s * s * math.exp(2.0 * s) <= _POINT_TOL:
+                    break
+            mu[row, start:stop] = mub
 
     _for_each(solve_block, _blocks(Tq.shape[0], _block_rows(data.n)))
     return mu

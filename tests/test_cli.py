@@ -64,7 +64,7 @@ class TestFitCommand:
         rc = main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "kernel has 2 bandwidths, data has q=1" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "manifest.txt").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_bad_model_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", model="wobbly")
@@ -203,6 +203,36 @@ SUBCOMMAND_CONFIGS = {
     "iia-test": {"simulate": K3_SIMULATE, "model": "parametric"},
     "bandwidth-grid": {},
 }
+
+
+class TestNoOutputOnExit2:
+    """A run that exits 2 after its config was read leaves no output
+    directory: the directory is made just before the first write."""
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("fit", {"reference": 5}, "reference 5 outside 1..2"),
+        ("simulate", {"simulate": {**K3_SIMULATE, "smooth": [{"kind": "zero"}]}},
+         "simulate.smooth needs 2 entries"),
+        ("surface", {"simulate": Q2_SIMULATE,
+                     "surface": {"axes": [{"name": "t1", "steps": 3},
+                                          {"name": "t2", "steps": 3}],
+                                 "fixed": {"x1": 1.0}, "categories": [3]}},
+         "surface.categories must lie in 1..2"),
+        ("iia-test", {"simulate": K3_SIMULATE, "model": "parametric", "reference": 9},
+         "reference 9 outside 1..3"),
+        ("bandwidth-grid", {"simulate": K3_SIMULATE},
+         "bandwidth grid needs at least one smooth covariate"),
+    ], ids=["fit", "simulate", "surface", "iia-test", "bandwidth-grid"])
+    def test_no_output_directory(self, tmp_path, capsys, command, extra, message):
+        path = write_config(tmp_path / "c.json", extra=extra)
+        args = ["--config", str(path), "--out", str(tmp_path / "o")]
+        if command == "surface":
+            assert main(["fit", "--config", str(path),
+                         "--out", str(tmp_path / "f")]) == 0
+            args += ["--fit-dir", str(tmp_path / "f")]
+        assert main([command] + args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSimulateCommand:

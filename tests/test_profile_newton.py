@@ -214,3 +214,29 @@ class TestCurveToleranceNoise:
         data = sine_dgp(2, 300, seed=1)
         fit = fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5))
         assert fit.converged, fit.warnings
+
+    def test_guard_exhausted_fit_keeps_its_last_jacobian(self, monkeypatch,
+                                                          pass_counts):
+        monkeypatch.setattr(profile, "_CURVE_TOL", 1e-7)
+        jacobian = profile._profile_jacobian
+        solves = []       # (state, J, Jacobian passes so far) per solve
+
+        def recorded(data, state, *args, **kwargs):
+            out = jacobian(data, state, *args, **kwargs)
+            solves.append((state.copy(), out[0], pass_counts["jacobian"]))
+            return out
+
+        monkeypatch.setattr(profile, "_profile_jacobian", recorded)
+        data = sine_dgp(3, 300, seed=1)
+        fit = fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5))
+        assert "trace guard exhausted halvings at iteration 3" in fit.warnings
+        # the fit went back to the last iteration's start, where that
+        # iteration's Jacobian solve was made; no pass follows it
+        state, J, passes = solves[-1]
+        assert len(solves) == fit.iterations
+        assert pass_counts["jacobian"] == passes
+        assert np.array_equal(state.beta, fit.beta)
+        assert np.array_equal(state.m, fit.smooth.m)
+        _, info = profile._score_information(data, fit.smooth, J)
+        assert np.array_equal(fit.beta_se,
+                              profile._standard_errors(info, fit.beta.shape))

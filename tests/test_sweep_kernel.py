@@ -21,7 +21,7 @@ from semilogit import (
     predict_surface,
 )
 from semilogit import profile
-from semilogit.core import sigmoid
+from semilogit.core import STEP_CAP, sigmoid
 from semilogit.profile import (
     _category_pass,
     _fixed_logit_parts,
@@ -159,6 +159,60 @@ class TestSolveAtPoints:
                 score, curv = local_smoothed_score(data, int(k), tq, mu[row, j],
                                                    state, kern)
                 assert abs(score / curv) < 1e-9
+
+
+@pytest.fixture
+def point_steps(monkeypatch):
+    """Records the largest local Newton step, before the cap, of every
+    query-point pass."""
+    steps = []
+    real = profile._local_steps
+
+    def recorded(*args):
+        out = real(*args)
+        steps.append(float(np.abs(out).max()))
+        return out
+
+    monkeypatch.setattr(profile, "_local_steps", recorded)
+    return steps
+
+
+class TestPointSolveStop:
+    """The query-point solve stops once its last Newton step bounds the
+    remaining error by _POINT_TOL, not on a pass that only confirms it."""
+
+    @pytest.mark.parametrize("shift", [0.0, 10.0], ids=["near", "capped"])
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_within_point_tol_of_the_continued_solve(self, monkeypatch,
+                                                     point_steps, K, q, shift):
+        data, beta, m = random_state_dataset(11, n=80, q=q, K=K)
+        m[0] += shift          # the first category's seeds start off by shift
+        state = SmoothState(beta, m, reference=K)
+        kern = bandwidth_from_scale(data.t, 0.8)
+        Tq = np.random.default_rng(3).normal(size=(17, q))    # one block
+        mu = _solve_m_at_points(data, state, kern, Tq)
+        if shift:
+            assert max(point_steps) > STEP_CAP
+        point_steps.clear()
+        # s^2 e^(2s) <= 1e-28 holds once the step s is below 1e-14
+        monkeypatch.setattr(profile, "_POINT_TOL", 1e-28)
+        continued = _solve_m_at_points(data, state, kern, Tq)
+        # every category's solve stopped on its rule, none at the step cap
+        assert sum(s < 1e-14 for s in point_steps) == K - 1
+        np.testing.assert_allclose(mu, continued, rtol=0, atol=1e-10)
+
+    def test_k2_block_takes_two_passes(self, point_steps):
+        data = sine_dgp(2, 300, 1)
+        kern = bandwidth_from_scale(data.t, 0.5)
+        fit = fit_semiparametric(data, kern)
+        # query points next to observation points, whose fitted m seeds them
+        mu = _solve_m_at_points(data, fit.smooth, kern, data.t[:40] + 1e-3)
+        assert mu.shape == (1, 40)
+        # the second step already proves the error below _POINT_TOL; a solve
+        # stopping on a step below _POINT_TOL would have taken a third pass
+        assert len(point_steps) == 2
+        assert point_steps[1] > profile._POINT_TOL
 
 
 def _ragged_cache(monkeypatch, kern, T, cached, rows=9):
