@@ -10,15 +10,20 @@ joint log-likelihood at (beta, m(beta)).
 The fit is one profile-Newton loop (Severini & Wong 1992; Severini &
 Staniswalis 1994).  Each iteration differentiates the local conditions
 implicitly, giving J_s = dm_s/dbeta for every category at once; forms the
-exact profile score S = sum_s E_s' (y_s - p_s) and the information
+profile score S = sum_s E_s' (y_s - p_s) and the information
 H = sum_i U_i' (diag p_i - p_i p_i') U_i, where row i of E_s (row s of
 U_i) is d eta_is / d beta = x_i e_s + J_s(t_i); re-solves m at
 beta + lam d, d = H^{-1} S, starting from the first-order prediction
 m + lam J d; and halves lam until the profile log-likelihood does not
 fall.  The start and the solve are the predictor and the corrector of a
-continuation step along the curve (Allgower & Georg 1990).  S is the
-gradient of the recorded trace, so an undamped step below tol is a
-stationary point of it.
+continuation step along the curve (Allgower & Georg 1990).  With an
+exact J, S is the gradient of the recorded trace.  Inside the loop J is
+solved only to a forcing tolerance tied to how far the state last moved,
+an inexact Newton method (Dembo, Eisenstat & Steihaug 1982).  When an
+undamped step meets tol, J is solved to ``_JACOBIAN_TOL`` at the new
+state, and the fit converges only if the Newton step of that exact score
+is below tol as well, so the returned state is a stationary point of the
+trace to within tol.  That J also gives the standard errors.
 
 The implicit-function equations: with category k's slot set to mu_i, the
 other categories' probabilities are p_js = (1 - p_jk) pi_js, where
@@ -147,15 +152,16 @@ _CACHE_LIMIT = 6000
 _BURNIN_SWEEPS = 200
 # Residual differences kept by the Anderson-mixed curve and Jacobian
 # solves.  _category_pass calls per fit at n=800, sweeps + Jacobian-only
-# passes, with the trial solves started at the first-order prediction:
-# K=3 at kernel scale 0.5 on DGP seeds 1, 3, 5 and at scale 0.2 on seed 1
-# (sine/linear DGP of perfbench's k3-curve); K=4 at scale 0.5
-# (sine_dgp(4, 800, 1) of tests/conftest.py):
-#     plain passes    66+66  /  62+60  /  64+72     88+82    126+183
-#     depth 1         48+40  /  46+40  /  44+44     64+56     78+102
-#     depth 2         42+36  /  40+42  /  38+42     54+48     75+84
-#     depth 3         40+38  /  40+42  /  40+42     52+50     75+81
-#     depth 5         40+38  /  40+42  /  40+42     50+50     69+81
+# passes, with the trial solves started at the first-order prediction and
+# the Jacobian solves stopped at their forcing tolerance: K=3 at kernel
+# scale 0.5 on DGP seeds 1, 3, 5 and at scale 0.2 on seed 1 (sine/linear
+# DGP of perfbench's k3-curve); K=4 at scale 0.5 (sine_dgp(4, 800, 1) of
+# tests/conftest.py); 4 iterations each:
+#     plain passes    66+24  /  62+22  /  64+26     88+28    126+60
+#     depth 1         48+20  /  46+20  /  44+20     64+22     78+36
+#     depth 2         42+20  /  40+20  /  40+20     54+20     75+39
+#     depth 3         40+20  /  40+20  /  40+20     52+20     75+36
+#     depth 5         40+20  /  40+20  /  40+20     50+20     69+36
 # Deeper histories pay little after 2; K=2 fits (9 + 0 on seed 1) never
 # mix.
 _ANDERSON_DEPTH = 3
@@ -163,6 +169,22 @@ _ANDERSON_DEPTH = 3
 # the order of x, so the score it feeds is exact to about 1e-10 per
 # observation.
 _JACOBIAN_TOL = 1e-10
+# Forcing term of the Jacobian solves inside the fit's loop: each stops at
+# max(_JACOBIAN_TOL, _JACOBIAN_FORCING * delta), delta the max-norm move of
+# the state since J was last solved (Dembo, Eisenstat & Steihaug 1982;
+# Eisenstat & Walker 1996).  Sweeps + Jacobian-only passes (iterations)
+# per fit at n=800, kernel scale 0.5: sine_dgp(3, ., 1 / 3 / 5) and
+# sine_dgp(4, ., 1) of tests/conftest.py and ROADMAP.md's q2_draw(5, ., 1)
+# (K=5, two smooth covariates) at tol 1e-6, then sine_dgp(3, ., 1) and
+# q2_draw(4, ., 1) at tol 1e-9:
+#   0     40+38(4)  40+42(4)  40+42(4)  75+81(4)  200+192(6)  42+40(5)  144+138(8)
+#   1e-3  40+24(4)  40+24(4)  40+26(4)  75+45(4)  200+96(6)   42+26(5)  144+75(8)
+#   1e-2  40+20(4)  40+20(4)  40+20(4)  75+36(4)  200+68(6)   44+22(6)  144+60(8)
+#   1e-1  40+18(4)  40+16(4)  40+18(4)  75+33(4)  200+56(6)   44+20(6)  147+45(9)
+#   1     40+16(4)  40+16(4)  40+16(4)  75+30(4)  200+52(6)   46+16(7)  153+48(11)
+# 0 solves every J to _JACOBIAN_TOL.  Past 1e-2 the few calls saved cost
+# outer iterations at tight tol.
+_JACOBIAN_FORCING = 1e-2
 # Max-norm change of m at which a curve solve stops, unless the fit's tol
 # is tighter.  It holds for every trace point, the burn-in's included: a
 # sloppier start would register the remaining polish as a dip.
@@ -578,13 +600,15 @@ def _jacobian_rhs(data, state, row, g, J):
     return rhs
 
 
-def _profile_jacobian(data, state, wcache, J=None):
+def _profile_jacobian(data, state, wcache, J=None, tol=_JACOBIAN_TOL):
     """J_s = dm_s/dbeta at the observation points, (K-1, n, (K-1) p).
 
     Solves the implicit-function equations of the module docstring by
     Gauss-Seidel passes of :func:`_category_pass` without y,
     Anderson-mixed like the curve solve, continuing from ``J`` (zeros
-    when None), the closing curve sweep's.  With one category there is no
+    when None), the closing curve sweep's, until a pass changes J by less
+    than ``tol`` in max-norm; the fit's loop passes its forcing tolerance
+    there.  With one category there is no
     coupling, so one pass is exact: a given J, made by a sweep's pass, is
     returned as it is, and from zeros the solve stops after its first
     pass.  Returns ``(J, converged, last max change)``, the change 0.0
@@ -594,7 +618,7 @@ def _profile_jacobian(data, state, wcache, J=None):
     if n_rows == 1 and J is not None:
         return J, True, 0.0
     shape = (n_rows, data.n, n_rows * data.p)
-    tol = _JACOBIAN_TOL if n_rows > 1 else np.inf
+    tol = tol if n_rows > 1 else np.inf
 
     def gs_pass(x):
         J = x.reshape(shape).copy()
@@ -819,9 +843,10 @@ class _Solves:
             self.capped.append(change)
         return _joint_loglik(self.data, state.beta, state.m, state.reference), J
 
-    def jacobian(self, state, J):
-        """dm/dbeta at ``state``, continuing from ``J``."""
-        J, done, change = _profile_jacobian(self.data, state, self.wcache, J)
+    def jacobian(self, state, J, tol):
+        """dm/dbeta at ``state``, continuing from ``J`` until a pass
+        changes it by less than ``tol``."""
+        J, done, change = _profile_jacobian(self.data, state, self.wcache, J, tol)
         if not done:
             self.capped.append(change)
         return J
@@ -850,13 +875,16 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
 
     Solves m onto the least favourable curve of the starting coefficients,
     then repeats one step: the joint Newton direction d = H^{-1} S on the
-    exact profile score, m re-solved at beta + lam d from the first-order
+    profile score, m re-solved at beta + lam d from the first-order
     prediction m + lam J d, lam halved until the profile log-likelihood
     falls by no more than 1e-9, and the step accepted.  ``converged`` means
-    that an undamped step moved (beta, m) by less than ``tol`` in max-norm.
-    ``loglik_trace`` records the profile log-likelihood after the first
-    solve and after every step; it never decreases, and its gradient in
-    beta is the score the loop drives to zero.  With ``max_iter=0`` the
+    that an undamped step moved (beta, m) by less than ``tol`` in max-norm
+    and that the Newton step d of the exact score at the returned state is
+    below ``tol`` as well, in beta (max|d|) and in m (max|J d|).  When it
+    is not, the loop goes on from that step, with no further Jacobian
+    solve.  ``loglik_trace`` records the profile log-likelihood after the
+    first solve and after every step; it never decreases, and its gradient
+    in beta is the exact score.  With ``max_iter=0`` the
     fit stops after the first solve, so ``loglik`` is the profile
     log-likelihood at the starting coefficients (:func:`profile_loglik`
     computes it alone).  ``start`` replaces the parametric start, and its
@@ -866,11 +894,14 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     J = dm/dbeta comes from the closing sweep of the curve solve at the
     current coefficients (see the module docstring): with K = 2 that pass
     is exact, so J is exact up to the curve tolerance of the m it is taken
-    at; with K >= 3 the Jacobian solve continues from it to
-    ``_JACOBIAN_TOL``.  ``beta_se`` comes from the full (K-1) p profile
-    information H, with J solved at the returned state; when the trace
-    guard runs out of halvings, that is the J of the last iteration's
-    start.  A fit
+    at.  With K >= 3 the Jacobian solve continues from it to
+    max(``_JACOBIAN_TOL``, ``_JACOBIAN_FORCING`` delta), where delta is
+    the max-norm move of the state since J was last solved: the first
+    curve solve's move of m, then the last accepted step's.  ``beta_se``
+    comes from the full (K-1) p profile information H, with J solved to
+    ``_JACOBIAN_TOL`` at the returned state on every path: the
+    certificate's J when the fit converges, otherwise one closing solve
+    from the last J, unless that was already tight.  A fit
     in which some curve or Jacobian solve stopped at its pass cap carries
     a warning, since the trace entry or score it fed is then inexact.
     """
@@ -883,16 +914,22 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     # (or near) the least favourable curve of the current coefficients.
     # Without this, starting values with a linear t-part would force the
     # joint likelihood downhill before the profile iteration can begin.
+    m_start = state.m.copy()
     ll, J = solves.curve(state)
     trace = [ll]
+    moved = float(np.abs(state.m - m_start).max())  # since J was last solved
     converged = False
-    solved = False           # J is already the Jacobian solve's at state
+    tight = False            # J was solved to _JACOBIAN_TOL at state
+    direction = None         # the Newton step from J at state, once taken
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        J = solves.jacobian(state, J)
-        step = _newton_step(*_score_information(data, state, J))
-        m_dir = J @ step          # dm along the step: the predictor
-        step = step.reshape(state.beta.shape)
+        if direction is None:
+            jac_tol = max(_JACOBIAN_TOL, _JACOBIAN_FORCING * moved)
+            J = solves.jacobian(state, J, jac_tol)
+            tight = jac_tol == _JACOBIAN_TOL
+            direction = _newton_step(*_score_information(data, state, J))
+        m_dir = J @ direction     # dm along the step: the predictor
+        step = direction.reshape(state.beta.shape)
         beta_prev, m_prev = state.beta, state.m
         lam = 1.0
         for _ in range(61):
@@ -905,20 +942,24 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
         else:
             # back where this iteration's Jacobian solve was made
             state.beta, state.m = beta_prev, m_prev
-            solved = True
             warnings.append(
                 f"trace guard exhausted halvings at iteration {iterations}")
             break
-        delta = max(float(np.abs(state.beta - beta_prev).max(initial=0.0)),
+        moved = max(float(np.abs(state.beta - beta_prev).max(initial=0.0)),
                     float(np.abs(state.m - m_prev).max()))
-        ll, J = ll_new, J_new
+        ll, J, tight, direction = ll_new, J_new, False, None
         trace.append(ll)
-        if lam == 1.0 and delta < tol:
-            converged = True
-            break
+        if lam == 1.0 and moved < tol:
+            # the certificate: the exact Newton step at the new state
+            J, tight = solves.jacobian(state, J, _JACOBIAN_TOL), True
+            direction = _newton_step(*_score_information(data, state, J))
+            if max(float(np.abs(direction).max(initial=0.0)),
+                   float(np.abs(J @ direction).max())) < tol:
+                converged = True
+                break
 
-    if not solved:
-        J = solves.jacobian(state, J)
+    if not tight:
+        J = solves.jacobian(state, J, _JACOBIAN_TOL)
     _, info = _score_information(data, state, J)
     if not converged:
         warnings.append(f"no convergence after {iterations} iterations")
@@ -964,6 +1005,23 @@ def profile_scores(data: Dataset, state: SmoothState,
     return score.reshape(state.beta.shape)
 
 
+def _bracketed_step(mu, newton, step, bracket):
+    """``(mu + step, bracket)`` for the Newton steps ``newton`` clipped to
+    ``step``, where a clipped step that would leave its root's bracket
+    goes to the bracket's midpoint instead.  ``bracket`` (lo, hi), or None
+    for (-inf, inf), is first narrowed to mu on the side each step leaves
+    behind: the local score is decreasing, so the root lies in the step's
+    direction."""
+    lo, hi = (np.full(mu.shape, -np.inf), np.full(mu.shape, np.inf)) \
+        if bracket is None else bracket
+    lo = np.where(newton > 0.0, mu, lo)
+    hi = np.where(newton < 0.0, mu, hi)
+    nxt = mu + step
+    out = (step != newton) & ((nxt <= lo) | (nxt >= hi))
+    nxt[out] = 0.5 * (lo[out] + hi[out])
+    return nxt, (lo, hi)
+
+
 def _solve_m_at_points(data, state, kernel, Tq):
     """Solve the local first-order conditions at arbitrary points, (K-1, G).
 
@@ -978,9 +1036,14 @@ def _solve_m_at_points(data, state, kernel, Tq):
     -log(1 - 1/2 s^2 e^|s|) of mu + s.  The block stops once its largest
     step s has s^2 e^(2s) <= ``_POINT_TOL``, which bounds every point's
     remaining error by 1/2 ``_POINT_TOL``, without a pass that only
-    confirms it; a step clipped at the cap never meets the rule.  The
-    blocks stand alone and run on the pool; when several have a point
-    without kernel weight, the first of them raises.
+    confirms it; a step clipped at the cap never meets the rule.  On a
+    pass where some step is clipped, the signs of the steps bracket every
+    root between the values such passes visited, and a clipped step that
+    would leave its bracket goes to the bracket's midpoint instead
+    (:func:`_bracketed_step`), so clipped steps cannot cycle; a pass
+    without a clipped step is plain Newton.  The blocks stand alone and
+    run on the pool; when several have a point without kernel weight, the
+    first of them raises.
     """
     Tq = np.atleast_2d(np.asarray(Tq, dtype=np.float64))
     if Tq.shape[1] != data.q:
@@ -1005,11 +1068,15 @@ def _solve_m_at_points(data, state, kernel, Tq):
         for row in range(len(cats)):
             Wy = np.dot(W, ys[row])      # fixed across the passes
             mub = state.m[row][nearest]
+            bracket = None
             for _ in range(_BURNIN_SWEEPS):
-                step = np.clip(_local_steps(W, Wy, logits[row], mub),
-                               -STEP_CAP, STEP_CAP)
-                mub = mub + step
+                newton = _local_steps(W, Wy, logits[row], mub)
+                step = np.clip(newton, -STEP_CAP, STEP_CAP)
                 s = float(np.abs(step).max())
+                if s < STEP_CAP:
+                    mub = mub + step
+                else:
+                    mub, bracket = _bracketed_step(mub, newton, step, bracket)
                 if s * s * math.exp(2.0 * s) <= _POINT_TOL:
                     break
             mu[row, start:stop] = mub

@@ -181,7 +181,8 @@ class TestPointSolveStop:
     """The query-point solve stops once its last Newton step bounds the
     remaining error by _POINT_TOL, not on a pass that only confirms it."""
 
-    @pytest.mark.parametrize("shift", [0.0, 10.0], ids=["near", "capped"])
+    @pytest.mark.parametrize("shift", [0.0, 8.0, 10.0],
+                             ids=["near", "bracketed", "capped"])
     @pytest.mark.parametrize("q", [1, 2])
     @pytest.mark.parametrize("K", [2, 3, 4])
     def test_within_point_tol_of_the_continued_solve(self, monkeypatch,
@@ -201,6 +202,22 @@ class TestPointSolveStop:
         # every category's solve stopped on its rule, none at the step cap
         assert sum(s < 1e-14 for s in point_steps) == K - 1
         np.testing.assert_allclose(mu, continued, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("shift", [-8.0, 6.0, 8.0])
+    def test_capped_steps_do_not_cycle(self, point_steps, shift):
+        # plain clipped steps from these seeds alternate between two points
+        # STEP_CAP apart for all _BURNIN_SWEEPS steps; at K = 2 the offsets
+        # g do not depend on m, so the shifted seeds have the same roots
+        data, beta, m = random_state_dataset(11, n=80, q=1, K=2)
+        kern = bandwidth_from_scale(data.t, 0.8)
+        Tq = np.random.default_rng(3).normal(size=(17, 1))
+        near = _solve_m_at_points(data, SmoothState(beta, m, reference=2), kern, Tq)
+        point_steps.clear()
+        mu = _solve_m_at_points(data, SmoothState(beta, m + shift, reference=2),
+                                kern, Tq)
+        assert max(point_steps) > STEP_CAP
+        assert len(point_steps) < 20
+        np.testing.assert_allclose(mu, near, rtol=0, atol=profile._POINT_TOL)
 
     def test_k2_block_takes_two_passes(self, point_steps):
         data = sine_dgp(2, 300, 1)
