@@ -34,10 +34,10 @@ So, with M_k = W * P_k * (1 - P_k) and D_k its row sums,
 
 one blocked pass per category over the same kernel as the curve sweep.
 Both solves loop over one such pass, :func:`_category_pass`: it forms
-rhs_k from the running J and takes one product of every block with
-[1 | rhs_k], whose first column is the local information.  Given
-category k's response indicator it also sums the local scores, so the
-pass is a curve sweep too and returns its Newton step.  The running J
+rhs_k from the running J and takes one product of every logistic block
+with columns built from [1 | rhs_k], whose first gives the local
+information.  Given W y_k it also sums the local scores, so the pass is
+a curve sweep too and returns its Newton step.  The running J
 is the previous iteration's (zeros for the first solve), so a curve
 solve hands the Jacobian solve the pass of its closing sweep.  That pass
 is made at the closing sweep's input m, which lies within the curve
@@ -56,23 +56,28 @@ Identifiability: the reference category's beta row and m row are
 structurally zero and never stored.
 
 The O(n^2) pass: a local Newton step of m_k(t_i) needs the kernel sums
-sum_j w_ij p_ij and sum_j w_ij p_ij (1 - p_ij), where p_ij =
-sigmoid(g_j + mu_i) for the fixed offsets g of :func:`_fixed_logit_parts`;
-the Jacobian and the surface solve need the same sums.  The logistic
-factors: with c_ij = e^{mu_i} e^{g_j}, 1 - p = 1 / (1 + c) and
-p = c (1 - p), so a block costs only its rows' and columns' exponentials.
-When max|g| + max|mu| could overflow exp, it falls back to the sigmoid
-form.  The weights are the Gaussian kernel without its normalising
-constant, which cancels in every ratio formed here.
+sum_j w_ij y_j, sum_j w_ij p_ij and sum_j w_ij p_ij (1 - p_ij), where
+p_ij = sigmoid(g_j + mu_i) for the fixed offsets g of
+:func:`_fixed_logit_parts`; the Jacobian and the surface solve need the
+same sums.  A fit makes W y_k once, in one pass for every category.  The
+logistic factors: with c_ij = e^{-mu_i} e^{-g_j}, p = (1 + c) p^2 and
+p (1 - p) = c p^2, so the block T = W / (1 + c)^2, made in four passes,
+gives every other sum in one product with [1 | e^-g | e^-g r], and a
+block costs only its rows' and columns' exponentials.  Where (1 + c)^2
+could overflow, the call or pass takes the sigmoid form.  The score is
+W y - sum w p, not W (y - 1) + sum w (1 - p): rounding leaves its step
+off by about eps / (1 - p), not eps / p, and a category is locally rare
+more often than dominant.  The weights are the Gaussian kernel without
+its normalising constant, which cancels in every ratio formed here.
 
 Between observation points the kernel is symmetric, w_ij = w_ji, so the
 pass is triangular: row block I = [s, e) holds only W[I, s:], and each
 weight is computed (or cached) once, apart from the diagonal blocks.
 The block is read twice, and the per-point sums are accumulated over all
 blocks before any step is taken.  Direction 1 covers rows I against
-columns s: with c = e^{mu_I} e^{g_j}, summing along rows.  Direction 2
+columns s: with c = e^{-mu_I} e^{-g_j}, summing along rows.  Direction 2
 covers rows e: against columns I.  It uses the same block with
-c' = e^{g_I} e^{mu_j} and sums down its columns, so no transpose is
+c' = e^{-g_I} e^{-mu_j} and sums down its columns, so no transpose is
 formed.  Blocks hold at most ``_BLOCK_DOUBLES`` doubles, and so do the
 temporaries.  Query points against observation points are not symmetric:
 the surface solve runs plain row blocks through the same logistic.  Its
@@ -83,7 +88,7 @@ rather than on a pass whose step is already negligible.
 Every pass uses every core the process may run on.  The blocks are cut
 into ``_CHUNKS`` contiguous runs of about equal weight count, and the
 calling thread and a module-level pool of one thread per further core
-take the chunks in turn (numpy drops the GIL in its ufuncs, einsum and
+take the chunks in turn (numpy drops the GIL in its ufuncs and
 ``np.dot``).  Each chunk adds into its own partial sums, and the
 partials are added up in chunk order.  The cut depends only on n and
 ``_BLOCK_DOUBLES``, so the sums do not depend on the number of cores or
@@ -192,7 +197,7 @@ _CURVE_TOL = 1e-9
 # Bound on |m - root| below which a query-point solve stops; the bound is
 # taken from the last Newton step (see _solve_m_at_points).
 _POINT_TOL = 1e-10
-_EXP_SAFE = 600.0           # e^g e^mu is finite while |g| + |mu| stays below
+_EXP_SAFE = 350.0     # (1 + e^-g e^-mu)^2 is finite while |g| + |mu| stays below
 
 
 @dataclass
@@ -322,17 +327,17 @@ def _for_each(fn, items):
         raise errors[min(errors)]
 
 
-def _scratch(name: str, shape, count: int = 1) -> list:
-    """``count`` arrays of ``shape`` in this thread's reused buffer
-    ``name``, overwritten by the next call.  Each thread allocates its
-    buffer once, with room for the largest block, and grows it only for a
-    larger one."""
+def _scratch(name: str, shape) -> np.ndarray:
+    """An array of ``shape`` in this thread's reused buffer ``name``,
+    overwritten by the next call.  Each thread allocates its buffer once,
+    with room for the largest block, and grows it only for a larger
+    one."""
     size = math.prod(shape)
     buf = getattr(_buffers, name, None)
-    if buf is None or buf.size < count * size:
-        buf = np.empty(count * max(size, _BLOCK_DOUBLES))
+    if buf is None or buf.size < size:
+        buf = np.empty(max(size, _BLOCK_DOUBLES))
         setattr(_buffers, name, buf)
-    return [buf[i * size:(i + 1) * size].reshape(shape) for i in range(count)]
+    return buf[:size].reshape(shape)
 
 
 def _balanced_cuts(sizes, count: int) -> list:
@@ -380,7 +385,7 @@ def _cross_weights(kernel: KernelConfig, Tq: np.ndarray, T: np.ndarray,
     scale = 1.0 / (np.sqrt(2.0) * kernel.bandwidths)
     Aq, A = Tq * scale, T * scale
     for d in range(A.shape[1]):
-        z = out if d == 0 else _scratch("distance", out.shape)[0]
+        z = out if d == 0 else _scratch("distance", out.shape)
         np.subtract.outer(Aq[:, d], A[:, d], out=z)
         z *= z
         if d:
@@ -435,119 +440,111 @@ class _WeightCache:
             if self.cached:
                 yield start, stop, self._views[start]
             else:
-                W, = _scratch("weights", (stop - start, n - start))
+                W = _scratch("weights", (stop - start, n - start))
                 yield start, stop, self._fill(start, stop, W)
+
+    def sums(self, width, block):
+        """Sums at every observation point over the triangle, (n, width):
+        ``block(W, s, e, down)`` sums the block W[s:e, s:] along its rows
+        for the rows s:e, and with ``down`` its part W[s:e, e:] down its
+        columns for the rows e:.  Each chunk adds into its own partial
+        sums, added up in chunk order, whichever thread made each."""
+        n = self.T.shape[0]
+        partials = np.zeros((len(self.chunks), n, width))
+
+        def chunk_sums(c):
+            sums = partials[c]
+            for s, e, W in self.blocks(self.chunks[c]):
+                sums[s:e] += block(W, s, e, False)
+                if e < n:
+                    sums[e:] += block(W[:, e - s:], s, e, True)
+
+        _for_each(chunk_sums, range(len(self.chunks)))
+        return partials.sum(axis=0)
+
+    def dot(self, Y):
+        """W Y for an (n, r) Y, in one pass over the triangle."""
+        return self.sums(Y.shape[1], lambda W, s, e, down: (
+            np.dot(W.T, Y[s:e]) if down else np.dot(W, Y[s:])))
 
 
 class _Logistic:
-    """p = sigmoid(g + mu) between fixed offsets g and points mu.
-
-    e^g is formed once and e^mu once per call or pass, so a block costs no
-    exponential of its own (see the module docstring), unless |g| + |mu|
-    could overflow exp.  Results live in the calling thread's two scratch
-    blocks, overwritten by its next call, so one instance serves every
-    thread of a pass.
-    """
+    """Kernel sums of p = sigmoid(g + mu) between fixed offsets g of the
+    observations and points mu, by the factored block T = W p^2 of the
+    module docstring.  Blocks live in the calling thread's scratch, so
+    one instance serves every thread of a pass."""
 
     def __init__(self, g: np.ndarray):
         self.g = g
         self.headroom = _EXP_SAFE - float(np.abs(g).max())
-        self.eg = np.exp(g) if self.headroom > 0.0 else None
-        self.ones = np.ones(g.shape[0])   # row sums as BLAS products
+        self.plain = np.ones((g.shape[0], 2))
+        self.factored = None if self.headroom <= 0.0 else np.column_stack(
+            [self.plain[:, 0], np.exp(-g)])
 
-    def exp_points(self, mu: np.ndarray):
-        """e^mu, or None when some e^g e^mu could overflow."""
-        if self.eg is None or float(np.abs(mu).max()) >= self.headroom:
-            return None
-        return np.exp(mu)
-
-    def weighted(self, W, mu, cols=slice(None), emu=None) -> tuple:
-        """(W * P, Q) with Q = 1 - P and P_ij = sigmoid(mu_i + g_j), for
-        the points mu of W's rows and the offsets ``g[cols]`` of its
-        columns (direction 1).  ``emu`` is e^mu when the caller has it."""
-        if emu is None:
-            emu = self.exp_points(mu)
-        eg = None if emu is None else self.eg[cols]
-        return self._fill(W, mu, emu, self.g[cols], eg)
-
-    def weighted_t(self, W, rows, mu, emu) -> tuple:
-        """(W * P, Q) with P_ij = sigmoid(g_i + mu_j), for the offsets
-        ``g[rows]`` of W's rows and the points mu of its columns
-        (direction 2)."""
-        if emu is None:
-            emu = self.exp_points(mu)
-        eg = None if emu is None else self.eg[rows]
-        return self._fill(W, self.g[rows], eg, mu, emu)
-
-    def _fill(self, W, a, ea, b, eb):
-        """(W * P, Q) for P_ij = sigmoid(a_i + b_j); exp-free when ea and
-        eb hold e^a and e^b."""
-        WP, Q = _scratch("logistic", W.shape, 2)
-        if eb is not None:
-            np.multiply.outer(ea, eb, out=WP)
-            np.add(WP, 1.0, out=Q)
-            np.reciprocal(Q, out=Q)
-            WP *= Q
+    def columns(self, mu, R=None) -> tuple:
+        """(e^-mu, [1 | e^-g | e^-g R]) for the points mu, or, when some
+        (1 + e^-g e^-mu)^2 could overflow, (None, [1 | 1 | R]) for the
+        sigmoid form."""
+        if self.factored is None or float(np.abs(mu).max()) >= self.headroom:
+            emu, C = None, self.plain
         else:
-            WP[...] = sigmoid(a[:, None] + b[None, :])
-            np.subtract(1.0, WP, out=Q)
-        WP *= W
-        return WP, Q
+            emu, C = np.exp(-mu), self.factored
+        return emu, C if R is None else np.hstack([C, C[:, 1:] * R])
+
+    def sums(self, W, mu, emu, obs, C, down=False) -> np.ndarray:
+        """T C[obs], T = W p^2 between the points mu of W's rows and the
+        observations ``obs`` of its columns (with ``down``, of its columns
+        and rows).  The sigmoid form sums the columns past the first with
+        W p (1 - p) instead: :meth:`totals` with e^-mu = 1."""
+        # np.dot, not @: numpy's matmul keeps the interpreter lock through
+        # a single product, and the other threads wait
+        C = C[obs]
+        if emu is not None:
+            T = _scratch("logistic", W.shape)
+            eg = self.factored[obs, 1]
+            np.multiply.outer(*((eg, emu) if down else (emu, eg)), out=T)
+            T += 1.0
+            T *= T
+            np.divide(W, T, out=T)
+            return np.dot(T.T, C) if down else np.dot(T, C)
+        z = np.add.outer(*((self.g[obs], mu) if down else (mu, self.g[obs])))
+        P = sigmoid(z)
+        blocks = (W * P * P, W * P * sigmoid(-z))     # 1 - p is 0 once p rounds to 1
+        A, B = (block.T for block in blocks) if down else blocks
+        return np.column_stack([np.dot(A, C[:, 0]), np.dot(B, C[:, 1:])])
+
+    @staticmethod
+    def totals(S, emu) -> tuple:
+        """(sum_j w p, sum_j w p (1 - p) [1 | R_j]) from the summed
+        :meth:`sums` S: e^-mu T (e^-g r) and T 1 + e^-mu T e^-g."""
+        wpq = S[:, 1:] if emu is None else emu[:, None] * S[:, 1:]
+        return S[:, 0] + wpq[:, 0], wpq
 
 
 def _local_steps(W, Wy, logit, mu):
-    """Local Newton steps score / info of m for the query points mu of W's
-    rows, where Wy = W y_k and info = sum_j w p (1 - p) is minus the local
-    curvature."""
-    # np.dot, not @, here and in the passes: numpy's matmul keeps the
-    # interpreter lock through a single product, and the other threads wait
-    WP, Q = logit.weighted(W, mu)
-    info = np.einsum("ij,ij->i", WP, Q)
-    if np.any(info <= 0.0):
+    """Local Newton steps (Wy - sum_j w p) / sum_j w p (1 - p) of m at the
+    query points mu of W's rows, Wy = W y_k."""
+    emu, C = logit.columns(mu)
+    wp, wpq = logit.totals(logit.sums(W, mu, emu, slice(None), C), emu)
+    if np.any(wpq[:, 0] <= 0.0):
         raise NumericalFailureError("nonnegative local curvature at a query point")
-    return (Wy - np.dot(WP, logit.ones)) / info
+    return (Wy - wp) / wpq[:, 0]
 
 
-def _symmetric_sums(wcache, logit, mu, y, R):
-    """Kernel sums at every observation point, over the packed triangle.
+def _symmetric_sums(wcache, logit, mu, R):
+    """sum_j w_ij p_ij, shape (n,), and sum_j w_ij p_ij (1 - p_ij) [1 | R_j],
+    shape (n, 1 + r), over the packed triangle, p_ij = sigmoid(g_j + mu_i).
+    The first column is the local information; W y less the first sum is
+    the local score.  The pass takes the factored or the sigmoid form as a
+    whole."""
+    emu, C = logit.columns(mu, R)
 
-    With p_ij = sigmoid(g_j + mu_i), returns the columns of
-    sum_j w_ij p_ij (1 - p_ij) R_j, shape (n, r); a ones column of ``R``
-    gives the local informations.  Unless ``y`` is None, a first column
-    holds the local scores sum_j w_ij (y_j - p_ij).  Each block W[I, s:]
-    serves rows I against columns s: (direction 1) and, read down its
-    columns past the diagonal block, rows e: against columns I
-    (direction 2).  Each chunk of ``wcache`` adds into its own partial
-    sums, which are added up in chunk order.
-    """
-    n = mu.shape[0]
-    first = int(y is not None)      # the score column, when there is one
-    # e^mu once per pass; when it is unsafe, each block decides alone
-    emu = logit.exp_points(mu)
-    partials = np.zeros((len(wcache.chunks), n, first + R.shape[1]))
+    def block(W, s, e, down):
+        pts = slice(e, None) if down else slice(s, e)
+        return logit.sums(W, mu[pts], None if emu is None else emu[pts],
+                          slice(s, e) if down else slice(s, None), C, down)
 
-    def chunk_sums(c):
-        sums = partials[c]
-        for s, e, W in wcache.blocks(wcache.chunks[c]):
-            WP, Q = logit.weighted(W, mu[s:e], slice(s, None),
-                                   None if emu is None else emu[s:e])
-            if first:
-                sums[s:e, 0] += np.dot(W, y[s:]) - np.dot(WP, logit.ones[s:])
-            WP *= Q
-            sums[s:e, first:] += np.dot(WP, R[s:])
-            if e == n:
-                continue
-            V = W[:, e - s:]
-            WP, Q = logit.weighted_t(V, slice(s, e), mu[e:],
-                                     None if emu is None else emu[e:])
-            if first:
-                sums[e:, 0] += np.dot(y[s:e], V) - np.dot(logit.ones[s:e], WP)
-            WP *= Q
-            sums[e:, first:] += np.dot(WP.T, R[s:e])
-
-    _for_each(chunk_sums, range(len(wcache.chunks)))
-    # added in chunk order, whichever thread made each
-    return partials.sum(axis=0)
+    return logit.totals(wcache.sums(C.shape[1], block), emu)
 
 
 def _fixed_logit_parts(data: Dataset, state: SmoothState, row: int) -> np.ndarray:
@@ -662,28 +659,29 @@ def _newton_step(score, info):
     return np.clip(direction, -10.0, 10.0)
 
 
-def _category_pass(data, state, row, wcache, J, y=None):
+def _category_pass(data, state, row, wcache, J, Wy=None):
     """One blocked pass of category ``row`` at the snapshot ``state``.
 
-    With M_k = W * P * (1 - P) and D_k its row sums, the products of every
-    block with [1 | rhs_k], rhs_k from the running dm/dbeta ``J``, give
-    D_k and M_k rhs_k, and J[row] is replaced by D_k^{-1} M_k rhs_k.
-    Given ``y``, category k's response indicator, the pass is also a curve
-    sweep: it returns the local Newton step of m_k at every observation
-    point, clipped at ``STEP_CAP``, and the number of clipped steps.
+    With M_k = W * P * Q, Q = 1 - P, and D_k its row sums, the products of
+    every logistic block with [1 | e^-g | e^-g rhs_k], rhs_k from the
+    running dm/dbeta ``J``, give D_k and M_k rhs_k (:func:`_symmetric_sums`),
+    and J[row] is replaced by D_k^{-1} M_k rhs_k.  Given ``Wy`` = W y_k,
+    y_k category k's response indicator, the pass is also a curve sweep:
+    it returns the local Newton step of m_k at every observation point,
+    clipped at ``STEP_CAP``, and the number of clipped steps.  The products
+    are the same either way, so the sweep's J is the Jacobian pass's to
+    the last bit.
     """
     g = _fixed_logit_parts(data, state, row)
-    logit = _Logistic(g)
-    R = np.column_stack([logit.ones, _jacobian_rhs(data, state, row, g, J)])
-    sums = _symmetric_sums(wcache, logit, state.m[row], y, R)
-    first = int(y is not None)      # the score column, when there is one
-    info = sums[:, first]
+    wp, sums = _symmetric_sums(wcache, _Logistic(g), state.m[row],
+                               _jacobian_rhs(data, state, row, g, J))
+    info = sums[:, 0]
     if np.any(info <= 0.0):
         raise NumericalFailureError("nonnegative local curvature in a category pass")
-    J[row] = sums[:, first + 1:] / sums[:, first:first + 1]
-    if y is None:
+    J[row] = sums[:, 1:] / sums[:, :1]
+    if Wy is None:
         return None
-    step = sums[:, 0] / info
+    step = (Wy - wp) / info
     cap_hits = int(np.count_nonzero(np.abs(step) > STEP_CAP))
     return np.clip(step, -STEP_CAP, STEP_CAP), cap_hits
 
@@ -738,7 +736,7 @@ def _mixed_passes(gs_pass, x, tol, mix):
     return x, False, delta
 
 
-def _resolve_all_m(data, state, cats, wcache, tol, J):
+def _resolve_all_m(data, state, Wy, wcache, tol, J):
     """Solve all m rows onto the least favourable curve of state.beta.
 
     The fixed-point map G is one Gauss-Seidel pass of local Newton steps
@@ -750,10 +748,11 @@ def _resolve_all_m(data, state, cats, wcache, tol, J):
     solve stops when max|G(x) - x| < tol and leaves G(x), the last plain
     pass, in ``state.m``.
 
-    Each sweep is a :func:`_category_pass` with the category's response
-    indicator, so its Jacobian pass carries a running dm/dbeta from ``J``
-    (zeros when None).  For one category the closing sweep's J is exact
-    at that sweep's input m, which lies within tol of the returned m.
+    Each sweep is a :func:`_category_pass` with the category's score term,
+    row k of ``Wy`` = W y_k, so its Jacobian pass carries a running
+    dm/dbeta from ``J`` (zeros when None).  For one category the closing
+    sweep's J is exact at that sweep's input m, which lies within tol of
+    the returned m.
 
     Returns ``((worst per-sweep fraction of cap-clipped local updates,
     the closing sweep's J), converged, last max change)``; ``converged``
@@ -761,22 +760,21 @@ def _resolve_all_m(data, state, cats, wcache, tol, J):
     """
     shape = state.m.shape
     J = np.zeros((shape[0], data.n, shape[0] * data.p)) if J is None else J.copy()
-    ys = [(data.y == k).astype(np.float64) for k in cats]
     worst_cap = 0.0
 
     def gs_pass(x):
         nonlocal worst_cap
         state.m = x.reshape(shape).copy()
         hits_total = 0
-        for row, y in enumerate(ys):
-            step, hits = _category_pass(data, state, row, wcache, J, y)
+        for row, wy in enumerate(Wy):
+            step, hits = _category_pass(data, state, row, wcache, J, wy)
             state.m[row] += step
             hits_total += hits
         worst_cap = max(worst_cap, hits_total / state.m.size)
         return state.m.ravel().copy()
 
     m, done, delta = _mixed_passes(gs_pass, state.m.ravel().copy(), tol,
-                                   mix=len(cats) > 1)
+                                   mix=len(Wy) > 1)
     state.m = m.reshape(shape)
     return (worst_cap, J), done, delta
 
@@ -825,8 +823,9 @@ class _Solves:
     last max change of every solve stopped at its pass cap."""
 
     def __init__(self, data, kernel, cats, tol):
-        self.data, self.cats = data, cats
+        self.data = data
         self.wcache = _WeightCache(kernel, data.t)
+        self.Wy = self.wcache.dot((data.y[:, None] == cats) * 1.0).T
         self.tol = min(tol, _CURVE_TOL)
         self.worst_cap_fraction = 0.0
         self.capped = []
@@ -837,7 +836,7 @@ class _Solves:
         ``J``; returns the profile log-likelihood there and the closing
         sweep's J."""
         (cap, J), done, change = _resolve_all_m(
-            self.data, state, self.cats, self.wcache, self.tol, J)
+            self.data, state, self.Wy, self.wcache, self.tol, J)
         self.worst_cap_fraction = max(self.worst_cap_fraction, cap)
         if not done:
             self.capped.append(change)
@@ -1051,26 +1050,27 @@ def _solve_m_at_points(data, state, kernel, Tq):
     cats = state.categories()
     logits = [_Logistic(_fixed_logit_parts(data, state, row))
               for row in range(len(cats))]
-    ys = [(data.y == k).astype(np.float64) for k in cats]
+    Y = (data.y[:, None] == cats) * 1.0     # y_k, a column per category
     mu = np.empty((len(cats), Tq.shape[0]))
 
     def solve_block(bounds):
         start, stop = bounds
-        W, = _scratch("weights", (stop - start, data.n))
+        W = _scratch("weights", (stop - start, data.n))
         with np.errstate(over="ignore"):     # a distance that overflows weighs 0
             _cross_weights(kernel, Tq[start:stop], data.t, out=W)
-        empty = np.flatnonzero(W.sum(axis=1) == 0.0)
+        # seed from the most-weighted (nearest) observation point; the
+        # weights are >= 0, so a point whose largest is 0 has none
+        nearest = np.argmax(W, axis=1)
+        empty = np.flatnonzero(W[np.arange(stop - start), nearest] == 0.0)
         if empty.size:
             raise NoLocalDataError("all kernel weights vanished at query point "
                                    f"{start + int(empty[0])}")
-        # seed from the most-weighted (nearest) observation point
-        nearest = np.argmax(W, axis=1)
+        Wy = np.dot(W, Y)      # W y_k, fixed across the passes
         for row in range(len(cats)):
-            Wy = np.dot(W, ys[row])      # fixed across the passes
             mub = state.m[row][nearest]
             bracket = None
             for _ in range(_BURNIN_SWEEPS):
-                newton = _local_steps(W, Wy, logits[row], mub)
+                newton = _local_steps(W, Wy[:, row], logits[row], mub)
                 step = np.clip(newton, -STEP_CAP, STEP_CAP)
                 s = float(np.abs(step).max())
                 if s < STEP_CAP:

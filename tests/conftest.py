@@ -48,12 +48,20 @@ def cold_jacobian(data, state):
     return np.zeros((n_rows, data.n, n_rows * data.p))
 
 
-def cold_sweep(data, state, row, wcache):
+def score_terms(data, cats, wcache):
+    """W y_k of every category of ``cats``, one row each: the fixed part of
+    the local scores, made as a fit makes it."""
+    return wcache.dot((data.y[:, None] == cats) * 1.0).T
+
+
+def cold_sweep(data, state, row, wcache, Wy=None):
     """Category ``row``'s m after one curve sweep at ``state``, its
-    Jacobian pass made from J = 0."""
-    y = (data.y == state.categories()[row]).astype(np.float64)
+    Jacobian pass made from J = 0; ``Wy`` is its row of
+    :func:`score_terms`, made here when None."""
+    if Wy is None:
+        Wy = score_terms(data, state.categories(), wcache)[row]
     step, _ = profile._category_pass(data, state, row, wcache,
-                                     cold_jacobian(data, state), y)
+                                     cold_jacobian(data, state), Wy)
     return state.m[row] + step
 
 
@@ -82,13 +90,13 @@ def small_binary_data():
 @pytest.fixture
 def pass_counts(monkeypatch):
     """Counts the profile fitter's category passes: "sweeps" are the curve
-    sweeps (passes given y), "jacobian" the Jacobian-only passes."""
+    sweeps (passes given W y_k), "jacobian" the Jacobian-only passes."""
     counts = {"sweeps": 0, "jacobian": 0}
     real = profile._category_pass
 
-    def counted(data, state, row, wcache, J, y=None):
-        counts["jacobian" if y is None else "sweeps"] += 1
-        return real(data, state, row, wcache, J, y)
+    def counted(data, state, row, wcache, J, Wy=None):
+        counts["jacobian" if Wy is None else "sweeps"] += 1
+        return real(data, state, row, wcache, J, Wy)
 
     monkeypatch.setattr(profile, "_category_pass", counted)
     return counts

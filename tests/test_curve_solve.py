@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 from semilogit import SmoothState, bandwidth_from_scale
 from semilogit import profile
 from semilogit.profile import _resolve_all_m, _WeightCache
-from conftest import cold_jacobian, random_state_dataset, sine_dgp
+from conftest import cold_jacobian, random_state_dataset, score_terms, sine_dgp
 
 TOL = 1e-9
 
 
-def plain_resolve(data, state, cats, wcache, tol, J=None, max_sweeps=None):
+def plain_resolve(data, state, Wy, wcache, tol, J=None, max_sweeps=None):
     """Reference: unmixed Gauss-Seidel passes, same stop rule and returns,
-    the sweeps carrying the running dm/dbeta."""
+    the sweeps carrying the running dm/dbeta; row k of ``Wy`` is W y_k."""
     if max_sweeps is None:
         max_sweeps = profile._BURNIN_SWEEPS
     J = cold_jacobian(data, state) if J is None else J.copy()
@@ -22,9 +22,8 @@ def plain_resolve(data, state, cats, wcache, tol, J=None, max_sweeps=None):
     for _ in range(max_sweeps):
         delta = 0.0
         hits_total = 0
-        for row, k in enumerate(cats):
-            y = (data.y == k).astype(np.float64)
-            step, hits = profile._category_pass(data, state, row, wcache, J, y)
+        for row, wy in enumerate(Wy):
+            step, hits = profile._category_pass(data, state, row, wcache, J, wy)
             mu = state.m[row] + step
             delta = max(delta, float(np.abs(mu - state.m[row]).max()))
             hits_total += hits
@@ -45,11 +44,11 @@ class TestAcceleratedResolve:
     @pytest.mark.parametrize("K", [3, 4])
     def test_matches_plain_passes(self, monkeypatch, K):
         data, state, wcache = start_problem(K, 250, seed=2)
-        cats = state.categories()
+        Wy = score_terms(data, state.categories(), wcache)
         fast, slow = state.copy(), state.copy()
         monkeypatch.setattr(profile, "_BURNIN_SWEEPS", 2000)
-        _, done, _ = _resolve_all_m(data, fast, cats, wcache, 1e-12, None)
-        _, done_ref, _ = plain_resolve(data, slow, cats, wcache, 1e-12)
+        _, done, _ = _resolve_all_m(data, fast, Wy, wcache, 1e-12, None)
+        _, done_ref, _ = plain_resolve(data, slow, Wy, wcache, 1e-12)
         assert done and done_ref
         np.testing.assert_allclose(fast.m, slow.m, rtol=0, atol=1e-8)
 
@@ -59,11 +58,11 @@ class TestAcceleratedResolve:
         data, beta, m = random_state_dataset(seed)
         state = SmoothState(beta, m, reference=3)
         wcache = _WeightCache(bandwidth_from_scale(data.t, scale), data.t)
-        cats = state.categories()
-        _, done, _ = _resolve_all_m(data, state, cats, wcache, TOL, None)
+        Wy = score_terms(data, state.categories(), wcache)
+        _, done, _ = _resolve_all_m(data, state, Wy, wcache, TOL, None)
         assert done
         before = state.m.copy()
-        plain_resolve(data, state, cats, wcache, TOL, max_sweeps=1)
+        plain_resolve(data, state, Wy, wcache, TOL, max_sweeps=1)
         assert np.abs(state.m - before).max() < 10 * TOL
 
     def test_fit_takes_at_most_six_tenths_of_the_plain_passes(
@@ -101,8 +100,9 @@ class TestSweepCap:
     def test_resolve_reports_the_cap(self, monkeypatch):
         data, state, wcache = start_problem(3, 200, seed=1)
         monkeypatch.setattr(profile, "_BURNIN_SWEEPS", 1)
-        _, done, change = _resolve_all_m(data, state, state.categories(),
-                                         wcache, TOL, None)
+        _, done, change = _resolve_all_m(
+            data, state, score_terms(data, state.categories(), wcache),
+            wcache, TOL, None)
         assert not done
         assert change >= TOL
 

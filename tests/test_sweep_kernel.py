@@ -31,7 +31,8 @@ from semilogit.profile import (
     _symmetric_sums,
     _WeightCache,
 )
-from conftest import cold_jacobian, cold_sweep, random_state_dataset, sine_dgp
+from conftest import (cold_jacobian, cold_sweep, random_state_dataset,
+                      score_terms, sine_dgp)
 
 
 def all_weights(kernel, Tq, T):
@@ -57,32 +58,112 @@ def use_workers(monkeypatch):
     _drop_pool()
 
 
+def entrywise(logit, W, mu, first=0, down=False):
+    """(W * P, W * P * (1 - P)) entry by entry, from _Logistic's block sums
+    over one observation at a time: P between the points mu of W's rows
+    and the offsets g[first:] of its columns, or with ``down`` between the
+    offsets g[first:] of its rows and the points mu of its columns."""
+    emu, C = logit.columns(mu)
+    wp, wpq = [], []
+    for j in range(W.shape[0 if down else 1]):
+        one = slice(first + j, first + j + 1)
+        part = W[j:j + 1] if down else W[:, j:j + 1]
+        sums, info = logit.totals(logit.sums(part, mu, emu, one, C, down), emu)
+        wp.append(sums)
+        wpq.append(info[:, 0])
+    wp, wpq = np.array(wp), np.array(wpq)
+    return (wp, wpq) if down else (wp.T, wpq.T)
+
+
+def counted_sigmoid(monkeypatch):
+    """Counts the calls of the sigmoid form in profile."""
+    calls = []
+    monkeypatch.setattr(profile, "sigmoid",
+                        lambda z: calls.append(1) or sigmoid(z))
+    return calls
+
+
 class TestFactoredLogistic:
     def _both_forms(self, g, mu):
         logit = _Logistic(g)
-        WP, Q = logit.weighted(np.ones((mu.size, g.size)), mu)
+        WP, WPQ = entrywise(logit, np.ones((mu.size, g.size)), mu)
         P_ref = sigmoid(g[None, :] + mu[:, None])
-        return logit, WP.copy(), Q.copy(), P_ref
+        return logit, WP, WPQ, P_ref
 
-    def test_equals_sigmoid_form(self):
+    def test_equals_sigmoid_form(self, monkeypatch):
         rng = np.random.default_rng(0)
         g = 6.0 * rng.normal(size=300)
         mu = 6.0 * rng.normal(size=40)
-        logit, P, Q, P_ref = self._both_forms(g, mu)
-        assert logit.eg is not None           # the exp-free branch ran
-        np.testing.assert_allclose(P, P_ref, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(Q, 1.0 - P_ref, rtol=0, atol=1e-14)
+        calls = counted_sigmoid(monkeypatch)
+        logit, WP, WPQ, P_ref = self._both_forms(g, mu)
+        assert logit.columns(mu)[0] is not None and not calls   # the exp-free form
+        np.testing.assert_allclose(WP, P_ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(WPQ, P_ref * (1.0 - P_ref), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("g_scale, mu_scale", [(400.0, 400.0), (790.0, 10.0)])
     def test_overflow_branch_saturates(self, g_scale, mu_scale):
-        # |g| + |mu| near 800 would overflow e^g e^mu
+        # |g| + |mu| near 800 would overflow e^-g e^-mu
         g = g_scale * np.linspace(-1.0, 1.0, 51)
         mu = mu_scale * np.linspace(-1.0, 1.0, 9)
-        _, P, Q, P_ref = self._both_forms(g, mu)
-        assert np.all(np.isfinite(P)) and np.all(np.isfinite(Q))
-        np.testing.assert_allclose(P, P_ref, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(Q, 1.0 - P_ref, rtol=0, atol=1e-14)
-        assert P.min() == 0.0 and P.max() == 1.0
+        logit, WP, WPQ, P_ref = self._both_forms(g, mu)
+        assert logit.columns(mu)[0] is None
+        assert np.all(np.isfinite(WP)) and np.all(np.isfinite(WPQ))
+        np.testing.assert_allclose(WP, P_ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(WPQ, P_ref * (1.0 - P_ref), rtol=0, atol=1e-14)
+        assert WP.min() == 0.0 and WP.max() == 1.0
+
+
+class TestOverflowBound:
+    """The factored form holds up to |g| + |mu| = _EXP_SAFE, where
+    (1 + e^-g e^-mu)^2 is still finite; past it the sigmoid form takes
+    over."""
+
+    def _problem(self, monkeypatch, extent):
+        # g and mu reach +-(extent - 150) and +-150, so |g| + |mu| reaches extent
+        data, _, _ = random_state_dataset(8, n=60, K=2)
+        cache = _ragged_cache(monkeypatch, bandwidth_from_scale(data.t, 0.8),
+                              data.t, cached=True)
+        rng = np.random.default_rng(9)
+        g = (extent - 150.0) * rng.uniform(-1.0, 1.0, size=data.n)
+        mu = 150.0 * rng.uniform(-1.0, 1.0, size=data.n)
+        g[:2], mu[:2] = [extent - 150.0, 150.0 - extent], [150.0, -150.0]
+        W = all_weights(cache.kernel, data.t, data.t)
+        z = g[None, :] + mu[:, None]
+        P, Q = sigmoid(z), sigmoid(-z)
+        return cache, _Logistic(g), g, mu, W, P, Q
+
+    def _check_sums(self, cache, logit, mu, W, P, Q):
+        R = np.random.default_rng(10).normal(size=(mu.size, 2))
+        wp, wpq = _symmetric_sums(cache, logit, mu, R)
+        M = W * P * Q
+        assert np.all(np.isfinite(wpq)) and np.all(wpq[:, 0] > 0.0)
+        np.testing.assert_allclose(wp, (W * P).sum(axis=1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(wpq[:, 0], M.sum(axis=1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(wpq[:, 1:], M @ R, rtol=1e-12, atol=1e-300)
+
+    def test_between_the_bound_and_600_takes_the_sigmoid_form(self, monkeypatch):
+        cache, logit, g, mu, W, P, Q = self._problem(monkeypatch, 500.0)
+        assert profile._EXP_SAFE < 500.0
+        calls = counted_sigmoid(monkeypatch)
+        assert logit.columns(mu)[0] is None
+        self._check_sums(cache, logit, mu, W, P, Q)
+        assert calls
+
+    def test_just_below_the_bound_takes_the_factored_form(self, monkeypatch):
+        extent = profile._EXP_SAFE - 0.1
+        cache, logit, g, mu, W, P, Q = self._problem(monkeypatch, extent)
+        calls = counted_sigmoid(monkeypatch)
+        assert logit.columns(mu)[0] is not None
+        self._check_sums(cache, logit, mu, W, P, Q)
+        # entry by entry, where p or 1 - p is e^-349.9 and the denominator
+        # (1 + c)^2 is e^699.8
+        ones = np.ones((mu.size, g.size))
+        WP, WPQ = entrywise(logit, ones, mu)
+        assert np.all(np.isfinite(WPQ)) and WPQ.min() > 0.0
+        assert WPQ.min() < 1e-150
+        np.testing.assert_allclose(WP, P, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(WPQ, P * Q, rtol=1e-12, atol=0)
+        assert not calls
 
 
 class TestCrossWeights:
@@ -281,6 +362,8 @@ class TestTriangularPassEqualsDense:
         yk = (data.y == k).astype(np.float64)
         step = (W @ yk - (W * P).sum(axis=1)) / (W * P * (1.0 - P)).sum(axis=1)
         expected = state.m[row] + np.clip(step, -5.0, 5.0)
+        np.testing.assert_allclose(score_terms(data, state.categories(), cache)[row],
+                                   W @ yk, rtol=1e-13, atol=0)
         mu = cold_sweep(data, state, row, cache)
         np.testing.assert_allclose(mu, expected, rtol=1e-12, atol=1e-12)
 
@@ -318,16 +401,16 @@ class TestTriangularPassEqualsDense:
 
 class TestDirectionTwoOverflow:
     def test_transposed_logistic_falls_back_to_sigmoid(self):
-        # |g| + |mu| near 800 would overflow e^g e^mu
+        # |g| + |mu| near 800 would overflow e^-g e^-mu
         g = 400.0 * np.linspace(-1.0, 1.0, 51)
         mu = 400.0 * np.linspace(-1.0, 1.0, 9)
         logit = _Logistic(g)
-        assert logit.exp_points(mu) is None
+        assert logit.columns(mu)[0] is None
         W = np.random.default_rng(0).uniform(size=(20, 9))
-        WP, Q = logit.weighted_t(W, slice(10, 30), mu, None)
+        WP, WPQ = entrywise(logit, W, mu, first=10, down=True)
         P_ref = sigmoid(g[10:30, None] + mu[None, :])
         np.testing.assert_allclose(WP, W * P_ref, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(Q, 1.0 - P_ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(WPQ, W * P_ref * (1.0 - P_ref), rtol=0, atol=1e-14)
         assert P_ref.min() < 1e-250 and P_ref.max() == 1.0
 
     @pytest.mark.parametrize("cached", [True, False])
@@ -339,17 +422,31 @@ class TestDirectionTwoOverflow:
         g = rng.uniform(-400.0, 400.0, size=data.n)
         mu = rng.uniform(-400.0, 400.0, size=data.n)
         logit = _Logistic(g)
-        assert logit.exp_points(mu) is None
-        y = (data.y == 1).astype(np.float64)
+        assert logit.columns(mu)[0] is None
+        Wy = score_terms(data, np.array([1]), cache)[0]
         W, P = _dense(kern, data, g, mu)
-        M = W * P * (1.0 - P)
-        sums = _symmetric_sums(cache, logit, mu, y, logit.ones[:, None])
-        np.testing.assert_allclose(sums[:, 0], W @ y - (W * P).sum(axis=1),
+        M = W * P * sigmoid(-(g[None, :] + mu[:, None]))     # 1 - P is 0 where P is 1
+        wp, wpq = _symmetric_sums(cache, logit, mu, np.empty((data.n, 0)))
+        np.testing.assert_allclose(Wy - wp, W @ (data.y == 1) - (W * P).sum(axis=1),
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(sums[:, 1], M.sum(axis=1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(wpq[:, 0], M.sum(axis=1), rtol=1e-12, atol=0)
         R = rng.normal(size=(data.n, 2))
-        np.testing.assert_allclose(_symmetric_sums(cache, logit, mu, None, R), M @ R,
-                                   rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(_symmetric_sums(cache, logit, mu, R)[1][:, 1:],
+                                   M @ R, rtol=1e-12, atol=1e-300)
+
+
+def counted_weights(monkeypatch):
+    """Records the number of weights of every _cross_weights call."""
+    computed = []
+    real = profile._cross_weights
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        computed.append(out.size)
+        return out
+
+    monkeypatch.setattr(profile, "_cross_weights", counting)
+    return computed
 
 
 class TestWorkCount:
@@ -369,21 +466,41 @@ class TestWorkCount:
         assert cache.packed.nbytes <= 8 * bound
 
         uncached = _ragged_cache(monkeypatch, kern, data.t, cached=False)
-        computed = []
-        real = profile._cross_weights
-
-        def counting(*args, **kwargs):
-            out = real(*args, **kwargs)
-            computed.append(out.size)
-            return out
-
-        monkeypatch.setattr(profile, "_cross_weights", counting)
-        for one_pass in (lambda: cold_sweep(data, state, 0, uncached),
+        computed = counted_weights(monkeypatch)
+        Wy = score_terms(data, state.categories(), uncached)[0]
+        assert n * (n + 1) // 2 <= sum(computed) <= bound
+        for one_pass in (lambda: cold_sweep(data, state, 0, uncached, Wy),
                          lambda: _category_pass(data, state, 0, uncached,
                                                 cold_jacobian(data, state))):
             computed.clear()
             one_pass()
             assert n * (n + 1) // 2 <= sum(computed) <= bound
+
+    def test_score_term_is_formed_once_per_fit(self, monkeypatch, pass_counts):
+        # an uncached K = 2 fit computes one triangle per sweep and one for
+        # W y, before the first sweep
+        data = sine_dgp(2, 120, 1)
+        kern = bandwidth_from_scale(data.t, 0.5)
+        n = data.n
+        layout = _ragged_cache(monkeypatch, kern, data.t, cached=False).layout
+        triangle = sum((stop - start) * (n - start) for start, stop in layout)
+        G = max(stop - start for start, stop in layout)
+        assert n * (n + 1) // 2 <= triangle <= n * (n + 1) // 2 + n * G
+        computed = counted_weights(monkeypatch)
+        per_pass = []
+        counted = profile._category_pass
+
+        def recorded(*args):
+            before = sum(computed)
+            out = counted(*args)
+            per_pass.append(sum(computed) - before)
+            return out
+
+        monkeypatch.setattr(profile, "_category_pass", recorded)
+        fit_semiparametric(data, kern)
+        assert pass_counts["sweeps"] > 1 and pass_counts["jacobian"] == 0
+        assert per_pass == [triangle] * pass_counts["sweeps"]
+        assert sum(computed) == (pass_counts["sweeps"] + 1) * triangle
 
 
 class TestChunkedPool:
@@ -397,12 +514,11 @@ class TestChunkedPool:
         cache = _WeightCache(kern, data.t)
         assert len(cache.chunks) == profile._CHUNKS
         logit = _Logistic(_fixed_logit_parts(data, state, 0))
-        y = (data.y == 1).astype(np.float64)
         R = rng.normal(size=(data.n, 3))
         fit = fit_semiparametric(data, kern)
         grid = np.linspace(-1.9, 1.9, 7 * rows_per_block + 3)[:, None]
-        return [_symmetric_sums(cache, logit, state.m[0], y, logit.ones[:, None]),
-                _symmetric_sums(cache, logit, state.m[0], None, R),
+        return [*_symmetric_sums(cache, logit, state.m[0], R),
+                score_terms(data, np.array([1, 2]), cache),
                 fit.beta, fit.smooth.m, fit.beta_se,
                 predict_surface(fit, data, grid, np.array([0.4]))]
 
@@ -465,3 +581,15 @@ class TestChunkedPool:
             process.join()
             pytest.fail("the forked child's fit did not finish")
         assert process.exitcode == 0
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_fits_and_surfaces_take_the_factored_form(monkeypatch, K):
+    # a silent fall back to the sigmoid form would undo the factored form's
+    # gain; perfbench's core.sigmoid.calls reads 0 on every workload
+    data = sine_dgp(K, 300, 1)
+    kern = bandwidth_from_scale(data.t, 0.5)
+    calls = counted_sigmoid(monkeypatch)
+    fit = fit_semiparametric(data, kern)
+    predict_surface(fit, data, np.linspace(-2.0, 2.0, 41)[:, None], np.array([0.5]))
+    assert fit.converged and not calls
