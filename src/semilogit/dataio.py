@@ -21,12 +21,12 @@ import numpy as np
 
 from . import __version__
 from .core import Dataset
-from .exceptions import ConfigError, EmptyDatasetError
+from .exceptions import ConfigError, EmptyDatasetError, SemilogitError
 from .iia import hausman_mcfadden, iia_all_permutations, small_hsiao
 from .kernels import KernelConfig, bandwidth_from_scale, bandwidth_grid
 from .parametric import fit_parametric
 from .profile import SemiparametricFitResult, SmoothState, fit_semiparametric, predict_surface
-from .schema import GRID, IIA, RUN, SURFACE, walk
+from .schema import FIT_STATE, GRID, IIA, RUN, SURFACE, walk
 from .synthesis import DGPSpec, simulate
 
 
@@ -400,7 +400,9 @@ def _write_fit_state(path, data: Dataset, fit: SemiparametricFitResult,
 
 
 def load_fit_state(path):
-    """Rebuild (data, fit result) from a fit_state.json artifact."""
+    """Rebuild (data, fit result, x_names, t_names) from a fit_state.json
+    artifact; a ConfigError naming the file when a field is missing, is not
+    of its type in ``schema.FIT_STATE`` or makes no dataset or state."""
     s = _read_json_object(path)
 
     def grid_array(rows, n_rows):
@@ -408,26 +410,25 @@ def load_fit_state(path):
         return out.reshape(n_rows, -1) if out.size else np.zeros((n_rows, 0))
 
     try:
-        n, Km1 = len(s["y"]), int(s["n_categories"]) - 1
+        s = walk(FIT_STATE, s, "")
+        n, Km1 = len(s["y"]), s["n_categories"] - 1
         data = Dataset(y=np.array(s["y"]), x=grid_array(s["x"], n),
-                       t=grid_array(s["t"], n),
-                       n_categories=int(s["n_categories"]),
-                       labels=tuple(s.get("labels") or ()))
+                       t=grid_array(s["t"], n), n_categories=s["n_categories"],
+                       labels=tuple(s["labels"]))
         kernel = KernelConfig(bandwidths=[float(h) for h in s["bandwidths"]])
         smooth = SmoothState(beta=grid_array(s["beta"], Km1),
-                             m=grid_array(s["m"], Km1), reference=int(s["reference"]))
+                             m=grid_array(s["m"], Km1), reference=s["reference"])
+        categories = smooth.categories()
         options = {k: (float(v) if isinstance(v, str) else v)
-                   for k, v in s.get("options", {}).items()}
-        converged = bool(s["converged"])
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"{path} is not a fit state: {err!r}") from None
+                   for k, v in s["options"].items()}
+    except (SemilogitError, ValueError, OverflowError) as err:    # y past int64
+        raise ConfigError(f"{path} is not a fit state: {err}") from None
     fit = SemiparametricFitResult(
         beta=smooth.beta, beta_se=np.full_like(smooth.beta, np.nan),
         smooth=smooth, loglik=np.nan, loglik_trace=[],
-        converged=converged, iterations=0, kernel=kernel,
-        reference=smooth.reference, categories=smooth.categories(),
-        options=options)
-    return data, fit, s.get("x_names", []), s.get("t_names", [])
+        converged=s["converged"], iterations=0, kernel=kernel,
+        reference=smooth.reference, categories=categories, options=options)
+    return data, fit, s["x_names"], s["t_names"]
 
 
 def run_fit(config: dict) -> int:

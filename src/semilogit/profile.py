@@ -33,15 +33,17 @@ So, with M_k = W * P_k * (1 - P_k) and D_k its row sums,
   J_k = D_k^{-1} M_k [-x e_k + sum_{s != k} pi_s (x e_s + J_s)],
 
 one blocked pass per category over the same kernel as the curve sweep.
-Both solves loop over one such pass, :func:`_category_pass`: it forms
-rhs_k from the running J and takes one product of every logistic block
-with columns built from [1 | rhs_k], whose first gives the local
-information.  Given W y_k it also sums the local scores, so the pass is
-a curve sweep too and returns its Newton step.  The running J
-is the previous iteration's (zeros for the first solve), so a curve
-solve hands the Jacobian solve the pass of its closing sweep.  That pass
-is made at the closing sweep's input m, which lies within the curve
-tolerance of the solved m.
+Both solves are methods of :class:`_Solves`, the one way into either,
+which keeps the weight cache and the record the fit's warnings read.
+They loop over one such pass, :func:`_category_pass`: it forms rhs_k
+from the running J and takes one product of every logistic block with
+columns built from [1 | rhs_k], whose first gives the local information.
+Given W y_k it also sums the local scores, so the pass is a curve sweep
+too and returns its Newton step.  The running J is the previous
+iteration's (zeros for the first solve), so a curve solve hands the
+Jacobian solve the pass of its closing sweep.  That pass is made at the
+closing sweep's input m, which lies within the curve tolerance of the
+solved m.
 
 Both solves are Gauss-Seidel passes over the categories.  With K >= 3
 they are coupled and converge only linearly, so the stacked vector is
@@ -105,6 +107,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -547,12 +550,16 @@ def _symmetric_sums(wcache, logit, mu, R):
     return logit.totals(wcache.sums(C.shape[1], block), emu)
 
 
-def _fixed_logit_parts(data: Dataset, state: SmoothState, row: int) -> np.ndarray:
-    """Per-observation g such that p_ik(mu) = sigmoid(g_i + mu).
+def _fixed_logit_parts(data: Dataset, state: SmoothState, row: int) -> tuple:
+    """(g, pi) of category ``row`` at the observation points, from one
+    evaluation of the predictors x beta' + m'.
 
-    g collapses the categories other than k (including the reference's
-    zero predictor) into one observation-level offset; the candidate
-    value of m_k at the query point enters only through mu.
+    g is the per-observation offset such that p_ik(mu) = sigmoid(g_i + mu):
+    it collapses the categories other than k (including the reference's
+    zero predictor), and the candidate value of m_k at the query point
+    enters only through mu.  g = x'beta_k - log(1 + sum_{l != k} e^{eta_l}),
+    so column j of pi, (n, K-2), is pi_s = e^{eta_s + g - x'beta_k} of the
+    j-th category row s other than ``row``.
     """
     A = data.x @ state.beta.T + state.m.T          # (n, K-1), at obs points
     c = A[:, row] - state.m[row]                    # x' beta_k alone
@@ -563,69 +570,17 @@ def _fixed_logit_parts(data: Dataset, state: SmoothState, row: int) -> np.ndarra
     else:
         M = np.zeros(data.n)
         S = np.ones(data.n)
-    return c - M - np.log(S)
+    g = c - M - np.log(S)
+    return g, np.exp(other + (g - c)[:, None])
 
 
-def _joint_loglik(data, beta, m, reference):
-    eta = linear_predictors(beta, m, data.x, reference)
-    return dataset_log_likelihood(data, eta)
-
-
-def _x_blocks(data, n_rows):
-    """x e_s for every category row s, shape (K-1, n, (K-1) p)."""
-    p = data.p
-    X = np.zeros((n_rows, data.n, n_rows * p))
-    for s in range(n_rows):
-        X[s, :, s * p:(s + 1) * p] = data.x
-    return X
-
-
-def _jacobian_rhs(data, state, row, g, J):
-    """-x e_k + sum_{s != k} pi_s (x e_s + J_s), the right-hand side of
-    category ``row``'s implicit-function equations, shape (n, (K-1) p).
-
-    ``g`` is the row's :func:`_fixed_logit_parts`, x'beta_k -
-    log(1 + sum_{l != k} e^{eta_l}), so pi_s = e^{eta_s + g - x'beta_k}.
-    """
-    X = _x_blocks(data, J.shape[0])
-    A = data.x @ state.beta.T + state.m.T
-    log_rest = g - (A[:, row] - state.m[row])
-    rhs = -X[row]
+def _eta_gradients(data, J):
+    """E_s = x e_s + J_s = d eta_s / d beta for every category row s,
+    (K-1, n, (K-1) p): x added into a copy of J, in row s's block of E_s."""
+    E, p = J.copy(), data.p
     for s in range(J.shape[0]):
-        if s != row:
-            rhs = rhs + np.exp(A[:, s] + log_rest)[:, None] * (X[s] + J[s])
-    return rhs
-
-
-def _profile_jacobian(data, state, wcache, J=None, tol=_JACOBIAN_TOL):
-    """J_s = dm_s/dbeta at the observation points, (K-1, n, (K-1) p).
-
-    Solves the implicit-function equations of the module docstring by
-    Gauss-Seidel passes of :func:`_category_pass` without y,
-    Anderson-mixed like the curve solve, continuing from ``J`` (zeros
-    when None), the closing curve sweep's, until a pass changes J by less
-    than ``tol`` in max-norm; the fit's loop passes its forcing tolerance
-    there.  With one category there is no
-    coupling, so one pass is exact: a given J, made by a sweep's pass, is
-    returned as it is, and from zeros the solve stops after its first
-    pass.  Returns ``(J, converged, last max change)``, the change 0.0
-    for a J returned as given.
-    """
-    n_rows = state.m.shape[0]
-    if n_rows == 1 and J is not None:
-        return J, True, 0.0
-    shape = (n_rows, data.n, n_rows * data.p)
-    tol = tol if n_rows > 1 else np.inf
-
-    def gs_pass(x):
-        J = x.reshape(shape).copy()
-        for row in range(n_rows):
-            _category_pass(data, state, row, wcache, J)
-        return J.ravel()
-
-    x0 = np.zeros(math.prod(shape)) if J is None else J.ravel()
-    J, done, change = _mixed_passes(gs_pass, x0, tol, mix=True)
-    return J.reshape(shape), done, change
+        E[s, :, s * p:(s + 1) * p] += data.x
+    return E
 
 
 def _score_information(data, state, J):
@@ -638,7 +593,7 @@ def _score_information(data, state, J):
     """
     cats = state.categories()
     n_rows, n, P = J.shape
-    E = (J + _x_blocks(data, n_rows)).reshape(n_rows * n, P)
+    E = _eta_gradients(data, J).reshape(n_rows * n, P)
     eta = linear_predictors(state.beta, state.m, data.x, state.reference)
     prob = softmax_probabilities(eta)[:, cats - 1].T.reshape(-1, 1)
     resid = (data.y == cats[:, None]).reshape(-1, 1) - prob
@@ -663,7 +618,8 @@ def _category_pass(data, state, row, wcache, J, Wy=None):
     """One blocked pass of category ``row`` at the snapshot ``state``.
 
     With M_k = W * P * Q, Q = 1 - P, and D_k its row sums, the products of
-    every logistic block with [1 | e^-g | e^-g rhs_k], rhs_k from the
+    every logistic block with [1 | e^-g | e^-g rhs_k], where
+    rhs_k = -x e_k + sum_{s != k} pi_s E_s, E_s = x e_s + J_s from the
     running dm/dbeta ``J``, give D_k and M_k rhs_k (:func:`_symmetric_sums`),
     and J[row] is replaced by D_k^{-1} M_k rhs_k.  Given ``Wy`` = W y_k,
     y_k category k's response indicator, the pass is also a curve sweep:
@@ -672,9 +628,12 @@ def _category_pass(data, state, row, wcache, J, Wy=None):
     are the same either way, so the sweep's J is the Jacobian pass's to
     the last bit.
     """
-    g = _fixed_logit_parts(data, state, row)
-    wp, sums = _symmetric_sums(wcache, _Logistic(g), state.m[row],
-                               _jacobian_rhs(data, state, row, g, J))
+    g, pi = _fixed_logit_parts(data, state, row)
+    rhs = np.zeros(J.shape[1:])
+    rhs[:, row * data.p:(row + 1) * data.p] = -data.x
+    for pi_s, E_s in zip(pi.T, np.delete(_eta_gradients(data, J), row, axis=0)):
+        rhs += pi_s[:, None] * E_s
+    wp, sums = _symmetric_sums(wcache, _Logistic(g), state.m[row], rhs)
     info = sums[:, 0]
     if np.any(info <= 0.0):
         raise NumericalFailureError("nonnegative local curvature in a category pass")
@@ -703,82 +662,6 @@ def _anderson_mix(xs, gs):
     return G[-1] - dG @ gamma
 
 
-def _mixed_passes(gs_pass, x, tol, mix):
-    """Iterate x <- G(x) = gs_pass(x) until max|G(x) - x| < tol, for at
-    most ``_BURNIN_SWEEPS`` passes.
-
-    With ``mix`` each next iterate is Anderson-mixed from the last
-    ``_ANDERSON_DEPTH + 1`` pairs (x, G(x)); the history is dropped when
-    the residual max-norm grows or the mixing coefficients are not
-    finite.  Returns ``(G(x) at the stop or the last iterate, converged,
-    last max change)``.
-    """
-    xs, gs = [], []
-    delta = np.inf
-    for _ in range(_BURNIN_SWEEPS):
-        gx = gs_pass(x)
-        prev_delta, delta = delta, float(np.abs(gx - x).max(initial=0.0))
-        if delta < tol:
-            return gx, True, delta
-        if mix:
-            if delta > prev_delta:
-                xs, gs = [], []
-            xs.append(x)
-            gs.append(gx)
-            del xs[:-_ANDERSON_DEPTH - 1], gs[:-_ANDERSON_DEPTH - 1]
-            if len(xs) > 1:
-                mixed = _anderson_mix(xs, gs)
-                if mixed is None:
-                    del xs[:-1], gs[:-1]
-                else:
-                    gx = mixed
-        x = gx
-    return x, False, delta
-
-
-def _resolve_all_m(data, state, Wy, wcache, tol, J):
-    """Solve all m rows onto the least favourable curve of state.beta.
-
-    The fixed-point map G is one Gauss-Seidel pass of local Newton steps
-    over the categories, iterated by :func:`_mixed_passes`.  With two or
-    more non-reference categories the curves are coupled and plain passes
-    converge only linearly, so the passes are Anderson-mixed.  With one
-    category the pass is already a pointwise Newton step on an uncoupled
-    curve and converges quadratically, so it is iterated plainly.  The
-    solve stops when max|G(x) - x| < tol and leaves G(x), the last plain
-    pass, in ``state.m``.
-
-    Each sweep is a :func:`_category_pass` with the category's score term,
-    row k of ``Wy`` = W y_k, so its Jacobian pass carries a running
-    dm/dbeta from ``J`` (zeros when None).  For one category the closing
-    sweep's J is exact at that sweep's input m, which lies within tol of
-    the returned m.
-
-    Returns ``((worst per-sweep fraction of cap-clipped local updates,
-    the closing sweep's J), converged, last max change)``; ``converged``
-    is False when ``_BURNIN_SWEEPS`` passes did not reach tol.
-    """
-    shape = state.m.shape
-    J = np.zeros((shape[0], data.n, shape[0] * data.p)) if J is None else J.copy()
-    worst_cap = 0.0
-
-    def gs_pass(x):
-        nonlocal worst_cap
-        state.m = x.reshape(shape).copy()
-        hits_total = 0
-        for row, wy in enumerate(Wy):
-            step, hits = _category_pass(data, state, row, wcache, J, wy)
-            state.m[row] += step
-            hits_total += hits
-        worst_cap = max(worst_cap, hits_total / state.m.size)
-        return state.m.ravel().copy()
-
-    m, done, delta = _mixed_passes(gs_pass, state.m.ravel().copy(), tol,
-                                   mix=len(Wy) > 1)
-    state.m = m.reshape(shape)
-    return (worst_cap, J), done, delta
-
-
 def starting_state(data: Dataset, reference: int) -> SmoothState:
     """Step-1 starting values from a parametric MNL with linear t terms.
 
@@ -798,57 +681,138 @@ def _initial_state(data: Dataset, kernel: KernelConfig, reference, start):
     """Check the inputs of a fit and return ``(state, reference, cats)``:
     ``start`` (copied) or the parametric start, the fit's reference and its
     non-reference categories."""
-    K = data.n_categories
     if start is not None:
         if reference not in (None, start.reference):
             raise ConfigError(f"reference {reference} != start reference "
                               f"{start.reference}")
         reference = start.reference
-        if start.beta.shape != (K - 1, data.p) or start.m.shape != (K - 1, data.n):
-            raise ShapeError(
-                f"start has beta {start.beta.shape} and m {start.m.shape}, "
-                f"not ({K - 1}, {data.p}) and ({K - 1}, {data.n})")
-    reference = K if reference is None else reference
+    reference = data.n_categories if reference is None else reference
     if data.q == 0:
         raise ConfigError("semiparametric fit needs at least one smooth covariate")
+    _check_fit(data, kernel, start)
+    state = starting_state(data, reference) if start is None else start.copy()
+    return state, reference, nonreference_categories(data.n_categories, reference)
+
+
+def _check_fit(data: Dataset, kernel: KernelConfig, state=None):
+    """ShapeError unless ``kernel`` has ``data``'s q and ``state``, when
+    given, has beta (K-1, p) and m (K-1, n)."""
+    K = data.n_categories
     if kernel.q != data.q:
         raise ShapeError(f"kernel has {kernel.q} bandwidths, data has q={data.q}")
-    state = starting_state(data, reference) if start is None else start.copy()
-    return state, reference, nonreference_categories(K, reference)
+    if state is not None and (state.beta.shape != (K - 1, data.p)
+                              or state.m.shape != (K - 1, data.n)):
+        raise ShapeError(
+            f"state has beta {state.beta.shape} and m {state.m.shape}, "
+            f"not ({K - 1}, {data.p}) and ({K - 1}, {data.n})")
 
 
 class _Solves:
-    """The curve and Jacobian solves of one fit over one weight cache,
-    with the record its warnings read: the worst step-cap share and the
-    last max change of every solve stopped at its pass cap."""
+    """The curve and Jacobian solves over one weight cache, the only way
+    into either, with the record a fit's warnings read: the worst share of
+    cap-clipped local steps in any sweep, and the last max change of every
+    solve stopped at ``_BURNIN_SWEEPS`` passes.  Both solves are
+    Gauss-Seidel passes over the categories (:meth:`_passes`), as the
+    module docstring describes."""
 
     def __init__(self, data, kernel, cats, tol):
-        self.data = data
+        self.data, self.cats = data, cats
         self.wcache = _WeightCache(kernel, data.t)
-        self.Wy = self.wcache.dot((data.y[:, None] == cats) * 1.0).T
         self.tol = min(tol, _CURVE_TOL)
         self.worst_cap_fraction = 0.0
         self.capped = []
 
+    @cached_property
+    def Wy(self):
+        """W y_k, a row per category of ``cats``: the fixed part of the
+        local scores, formed by the first curve solve."""
+        return self.wcache.dot((self.data.y[:, None] == self.cats) * 1.0).T
+
     def curve(self, state, J=None):
         """Solve ``state.m`` onto the least favourable curve of
-        ``state.beta``, from ``state.m``, its sweeps carrying dm/dbeta from
-        ``J``; returns the profile log-likelihood there and the closing
-        sweep's J."""
-        (cap, J), done, change = _resolve_all_m(
-            self.data, state, self.Wy, self.wcache, self.tol, J)
-        self.worst_cap_fraction = max(self.worst_cap_fraction, cap)
-        if not done:
-            self.capped.append(change)
-        return _joint_loglik(self.data, state.beta, state.m, state.reference), J
+        ``state.beta``, from ``state.m``; returns the profile
+        log-likelihood there and the closing sweep's J.
 
-    def jacobian(self, state, J, tol):
-        """dm/dbeta at ``state``, continuing from ``J`` until a pass
-        changes it by less than ``tol``."""
-        J, done, change = _profile_jacobian(self.data, state, self.wcache, J, tol)
-        if not done:
-            self.capped.append(change)
-        return J
+        The solve stops when a pass moves m by less than the curve
+        tolerance and leaves that last plain pass in ``state.m``.  Each
+        sweep is a :func:`_category_pass` given row k of ``Wy``, so its
+        Jacobian pass carries a running dm/dbeta from ``J`` (zeros when
+        None).  For one category the closing sweep's J is exact at that
+        sweep's input m, which lies within the tolerance of the returned m.
+        """
+        data, shape = self.data, state.m.shape
+        J = np.zeros((shape[0], data.n, shape[0] * data.p)) if J is None else J.copy()
+
+        def gs_pass(x):
+            state.m = x.reshape(shape).copy()
+            hits = 0
+            for row, wy in enumerate(self.Wy):
+                step, row_hits = _category_pass(data, state, row, self.wcache, J, wy)
+                state.m[row] += step
+                hits += row_hits
+            self.worst_cap_fraction = max(self.worst_cap_fraction, hits / state.m.size)
+            return state.m.ravel().copy()
+
+        m = self._passes(gs_pass, state.m.ravel().copy(), self.tol, shape[0] > 1)
+        state.m = m.reshape(shape)
+        eta = linear_predictors(state.beta, state.m, data.x, state.reference)
+        return dataset_log_likelihood(data, eta), J
+
+    def jacobian(self, state, J=None, tol=_JACOBIAN_TOL):
+        """J_s = dm_s/dbeta at the observation points of ``state``,
+        (K-1, n, (K-1) p): the implicit-function equations of the module
+        docstring, solved by passes of :func:`_category_pass` without y,
+        continuing from ``J`` (zeros when None), until a pass changes J by
+        less than ``tol``.  With one category there is no coupling, so one
+        pass is exact: a given J, made by a sweep's pass, is returned as it
+        is, and from zeros the solve stops after its first pass."""
+        n_rows = state.m.shape[0]
+        if n_rows == 1 and J is not None:
+            return J
+        shape = (n_rows, self.data.n, n_rows * self.data.p)
+
+        def gs_pass(x):
+            J = x.reshape(shape).copy()
+            for row in range(n_rows):
+                _category_pass(self.data, state, row, self.wcache, J)
+            return J.ravel()
+
+        x0 = np.zeros(math.prod(shape)) if J is None else J.ravel()
+        return self._passes(gs_pass, x0, tol if n_rows > 1 else np.inf,
+                            True).reshape(shape)
+
+    def _passes(self, gs_pass, x, tol, mix):
+        """Iterate x <- G(x) = gs_pass(x) until max|G(x) - x| < tol and
+        return that G(x); after ``_BURNIN_SWEEPS`` passes, record the last
+        max change in ``capped`` and return the last iterate.
+
+        With ``mix`` each next iterate is Anderson-mixed from the last
+        ``_ANDERSON_DEPTH + 1`` pairs (x, G(x)); the history is dropped when
+        the residual max-norm grows or the mixing coefficients are not
+        finite.
+        """
+        xs, gs = [], []
+        delta = np.inf
+        for _ in range(_BURNIN_SWEEPS):
+            gx = gs_pass(x)
+            prev_delta, delta = delta, float(np.abs(gx - x).max(initial=0.0))
+            if delta < tol:
+                return gx
+            if mix:
+                if delta > prev_delta:
+                    xs, gs = [], []
+                xs.append(x)
+                gs.append(gx)
+                del xs[:-_ANDERSON_DEPTH - 1], gs[:-_ANDERSON_DEPTH - 1]
+                if len(xs) > 1:
+                    mixed = _anderson_mix(xs, gs)
+                    if mixed is None:
+                        del xs[:-1], gs[:-1]
+                    else:
+                        gx = mixed
+            x = gx
+        self.capped.append(delta)
+        return x
 
 
 def profile_loglik(data: Dataset, kernel: KernelConfig, beta,
@@ -999,7 +963,8 @@ def profile_scores(data: Dataset, state: SmoothState,
     dm/dbeta of every category; m should lie on the least favourable
     curve of ``state.beta``.
     """
-    J, _, _ = _profile_jacobian(data, state, _WeightCache(kernel, data.t))
+    state, _, cats = _initial_state(data, kernel, None, state)
+    J = _Solves(data, kernel, cats, _CURVE_TOL).jacobian(state)
     score, _ = _score_information(data, state, J)
     return score.reshape(state.beta.shape)
 
@@ -1048,7 +1013,7 @@ def _solve_m_at_points(data, state, kernel, Tq):
     if Tq.shape[1] != data.q:
         raise ShapeError(f"query points must have dimension {data.q}")
     cats = state.categories()
-    logits = [_Logistic(_fixed_logit_parts(data, state, row))
+    logits = [_Logistic(_fixed_logit_parts(data, state, row)[0])
               for row in range(len(cats))]
     Y = (data.y[:, None] == cats) * 1.0     # y_k, a column per category
     mu = np.empty((len(cats), Tq.shape[0]))
@@ -1108,6 +1073,7 @@ def predict_surface(fit: SemiparametricFitResult, data: Dataset,
     x_fixed = np.atleast_1d(np.asarray(x_fixed, dtype=np.float64))
     if x_fixed.shape != (data.p,):
         raise ShapeError(f"expected x of length {data.p}, got shape {x_fixed.shape}")
+    _check_fit(data, fit.kernel, fit.smooth)
     eta = np.zeros((T_new.shape[0], data.n_categories))
     m_new = _solve_m_at_points(data, fit.smooth, fit.kernel, T_new)
     for row, k in enumerate(fit.categories):

@@ -1,5 +1,5 @@
-"""Every value a run configuration can hold, in one table, and the walk
-that reads a section of a configuration through it.
+"""Every value a run configuration, or a fit_state.json, can hold, in one
+table, and the walk that reads a section of either through it.
 
 Checks that need the data (an axis must be a smooth covariate, a category
 must lie in 1..K) stay with the code that has the data.
@@ -11,6 +11,7 @@ import numbers
 import operator
 import sys
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -24,7 +25,8 @@ class Entry:
     """One row of the table: a value's type, its range and its default.
 
     ``args`` are a number's bounds (such as ``"> 0"``), a string's choices,
-    an object's fields, a list's item, a kind's variants (``kind`` picks
+    an object's fields, a list's item, an array's item type and depth (1
+    for a list, 2 for a list of lists), a kind's variants (``kind`` picks
     the fields) or an either's options (the first that reads the value).
     ``parts`` are an object's ``each`` (entry of the keys it does not name),
     ``short`` (the field a bare value stands for) and ``ordered`` (two
@@ -36,8 +38,9 @@ class Entry:
         self.type, self.args, self.default, self.parts = name, args, default, parts
 
 
-Num, Int, Str, Matrix, List, Obj, Kind, Either = (partial(Entry, t) for t in (
-    "number", "integer", "string", "matrix", "list", "object", "kind", "either"))
+Num, Int, Str, Bool, Array, Matrix, List, Obj, Kind, Either = (
+    partial(Entry, t) for t in ("number", "integer", "string", "boolean", "array",
+                                "matrix", "list", "object", "kind", "either"))
 
 
 def walk(entry: Entry, v, path: str):
@@ -77,6 +80,18 @@ def _read(e: Entry, v, path: str):
     if t == "string":
         if not isinstance(v, str) or args and v not in args:
             _fail(path, "one of " + ", ".join(args) if args else "a string", v)
+        return v
+    if t == "boolean":
+        if not isinstance(v, bool):
+            _fail(path, "true or false", v)
+        return v
+    if t == "array":         # a fit's arrays are long: their types are read in bulk
+        kind, depth = args
+        rows = v if depth == 2 and isinstance(v, list) else [v]
+        if not (set(map(type, rows)) <= {list}
+                and set(map(type, chain.from_iterable(rows))) <= {kind}):
+            raise ConfigError(f"{path} must be a list{' of lists' * (depth - 1)} "
+                              f"of {kind.__name__} values")
         return v
     if t == "matrix":
         try:
@@ -195,3 +210,14 @@ GRID = Obj({
     "lo": Num("> 0", default=0.4), "hi": Num("> 0", default=1.0),
     "steps": Int(">= 1", default=7),
 }, default={})
+
+# a fit_state.json as dataio writes it, its numbers as 17-digit strings
+FIT_STATE = Obj({
+    **dict.fromkeys(("beta", "m", "x", "t"), Array(str, 2, default=REQUIRED)),
+    "bandwidths": List(Str(), default=REQUIRED),
+    "y": Array(int, 1, default=REQUIRED),
+    "n_categories": Int(default=REQUIRED), "reference": Int(default=REQUIRED),
+    "converged": Bool(default=REQUIRED),
+    **dict.fromkeys(("labels", "x_names", "t_names"), List(Str(), default=[])),
+    "options": Obj(each=Either(Num(), Str()), default={}),
+})

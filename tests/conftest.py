@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semilogit import DGPSpec, Dataset, profile, simulate
+from semilogit import DGPSpec, Dataset, KernelConfig, SmoothState, profile, simulate
 
 # one line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES = []
@@ -65,6 +65,21 @@ def cold_sweep(data, state, row, wcache, Wy=None):
     return state.m[row] + step
 
 
+MISMATCHES = ["kernel", "m", "beta"]
+
+
+def mismatched(kernel, state, part):
+    """``(kernel, state)`` with one ``part`` of :data:`MISMATCHES` made not
+    to fit the data: the kernel given one more bandwidth than the data has
+    smooth covariates, m one value less, or beta one column more."""
+    if part == "kernel":
+        return KernelConfig(np.append(kernel.bandwidths, 1.0)), state
+    if part == "m":
+        return kernel, SmoothState(state.beta, state.m[:, 1:], state.reference)
+    return kernel, SmoothState(np.hstack([state.beta, state.beta]), state.m,
+                               state.reference)
+
+
 def sine_dgp(K, n, seed):
     """K categories: a sine curve and linear ones, beta near 1 in size."""
     smooth = ({"kind": "sine", "amplitude": 1.0, "frequency": 1.0},
@@ -100,3 +115,34 @@ def pass_counts(monkeypatch):
 
     monkeypatch.setattr(profile, "_category_pass", counted)
     return counts
+
+
+@pytest.fixture
+def solve_log(monkeypatch, pass_counts):
+    """Every curve and Jacobian solve made through ``profile._Solves``, in
+    order, as a dict: its ``kind`` ("curve" or "jacobian"), copies of the
+    ``beta`` and the starting ``m`` of its state, the ``given`` J, its
+    ``tol``, the category ``passes`` it made, whether it was ``capped`` at
+    ``_BURNIN_SWEEPS`` passes, and the ``J`` and the ``solved`` m it left."""
+    log = []
+
+    def record(kind):
+        real = getattr(profile._Solves, kind)
+
+        def recorded(solves, state, J=None, *tol):
+            entry = {"kind": kind, "beta": state.beta.copy(), "m": state.m.copy(),
+                     "given": J, "tol": tol[0] if tol else (
+                         solves.tol if kind == "curve" else profile._JACOBIAN_TOL)}
+            passes, capped = sum(pass_counts.values()), len(solves.capped)
+            out = real(solves, state, J, *tol)
+            entry.update(passes=sum(pass_counts.values()) - passes,
+                         capped=len(solves.capped) > capped,
+                         J=out[1] if kind == "curve" else out, solved=state.m.copy())
+            log.append(entry)
+            return out
+
+        monkeypatch.setattr(profile._Solves, kind, recorded)
+
+    record("curve")
+    record("jacobian")
+    return log

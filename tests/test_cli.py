@@ -338,6 +338,30 @@ class TestSurfaceCommand:
         assert rc == 2
         assert str(tmp_path / "f" / "fit_state.json") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spoil", [
+        lambda s: s["bandwidths"].pop(),
+        lambda s: s["m"][0].pop(),
+        lambda s: s["beta"][0].append(s["beta"][0][0]),
+        lambda s: s.update(converged="false"),
+        lambda s: s.update(x_names=5),
+        lambda s: s.update(t_names=5),
+    ], ids=["one-bandwidth", "m-value-dropped", "beta-column-added",
+            "converged-string", "x-names-number", "t-names-number"])
+    def test_fit_state_not_of_its_data_or_types_exits_2(self, tmp_path, capsys,
+                                                        spoil):
+        cfg = self._fit(tmp_path)
+        path = tmp_path / "f" / "fit_state.json"
+        state = json.loads(path.read_text())
+        spoil(state)
+        path.write_text(json.dumps(state))
+        capsys.readouterr()
+        rc = main(["surface", "--config", str(cfg), "--fit-dir", str(tmp_path / "f"),
+                   "--out", str(tmp_path / "s")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("semilogit: ") and err.count("\n") == 1
+        assert not (tmp_path / "s" / "surface.csv").exists()
+
     def test_axis_ending_at_1e308_exits_4_without_a_warning(self, tmp_path, capsys):
         cfg_path = self._fit(tmp_path)
         cfg = json.loads(Path(cfg_path).read_text())

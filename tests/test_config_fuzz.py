@@ -1,5 +1,5 @@
-"""Any JSON value in any place of a config ends in an exit code, never in
-an exception escaping the CLI."""
+"""Any JSON value in any place of a config, or of a fit_state.json, ends
+in an exit code, never in an exception escaping the CLI."""
 
 import copy
 import json
@@ -90,6 +90,8 @@ def workdir(tmp_path_factory):
     assert main(["simulate", "--config", str(work / "sim.json"),
                  "--out", str(work / "sim")]) == 0
     (work / "data.csv").write_text((work / "sim" / "data.csv").read_text())
+    (work / "surface.json").write_text(json.dumps({**Q2_FIT,
+                                                   "surface": SECTIONS["surface"]}))
     return work
 
 
@@ -119,3 +121,21 @@ def test_any_json_value_anywhere_exits_with_a_code(workdir, case, data):
         if command == "surface":
             argv += ["--fit-dir", str(workdir / "fit")]
         assert main(argv) in (0, 2, 3, 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_json_value_anywhere_in_a_fit_state_exits_with_a_code(workdir, data):
+    state = json.loads((workdir / "fit" / "fit_state.json").read_text())
+    # the first two entries of a list stand for all, so the fields of the
+    # state are not lost among the entries of its per-observation arrays
+    paths = [p for p in places(state)
+             if all(not isinstance(k, int) or k < 2 for k in p)]
+    path = data.draw(st.sampled_from(paths), label="path")
+    fit_dir = workdir / "spoiled-fit"
+    fit_dir.mkdir(exist_ok=True)
+    (fit_dir / "fit_state.json").write_text(
+        json.dumps(spoiled(state, path, data.draw(JSON, label="value"))))
+    argv = ["surface", "--config", str(workdir / "surface.json"),
+            "--fit-dir", str(fit_dir), "--out", str(workdir / "o")]
+    assert main(argv) in (0, 2, 3, 4)

@@ -4,52 +4,58 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semilogit import SmoothState, bandwidth_from_scale
+from semilogit import (SmoothState, bandwidth_from_scale, dataset_log_likelihood,
+                       linear_predictors)
 from semilogit import profile
-from semilogit.profile import _resolve_all_m, _WeightCache
-from conftest import cold_jacobian, random_state_dataset, score_terms, sine_dgp
+from semilogit.profile import _Solves
+from conftest import cold_jacobian, random_state_dataset, sine_dgp
 
 TOL = 1e-9
 
 
-def plain_resolve(data, state, Wy, wcache, tol, J=None, max_sweeps=None):
-    """Reference: unmixed Gauss-Seidel passes, same stop rule and returns,
-    the sweeps carrying the running dm/dbeta; row k of ``Wy`` is W y_k."""
+def plain_curve(solves, state, J=None, max_sweeps=None):
+    """Reference for ``_Solves.curve``: unmixed Gauss-Seidel passes, same
+    stop rule, record and returns, the sweeps carrying the running
+    dm/dbeta; ``max_sweeps`` defaults to the pass cap."""
     if max_sweeps is None:
         max_sweeps = profile._BURNIN_SWEEPS
+    data = solves.data
     J = cold_jacobian(data, state) if J is None else J.copy()
-    worst_cap = 0.0
     for _ in range(max_sweeps):
         delta = 0.0
         hits_total = 0
-        for row, wy in enumerate(Wy):
-            step, hits = profile._category_pass(data, state, row, wcache, J, wy)
+        for row, wy in enumerate(solves.Wy):
+            step, hits = profile._category_pass(data, state, row, solves.wcache, J, wy)
             mu = state.m[row] + step
             delta = max(delta, float(np.abs(mu - state.m[row]).max()))
             hits_total += hits
             state.m[row] = mu
-        worst_cap = max(worst_cap, hits_total / state.m.size)
-        if delta < tol:
-            return (worst_cap, J), True, delta
-    return (worst_cap, J), False, delta
+        solves.worst_cap_fraction = max(solves.worst_cap_fraction,
+                                        hits_total / state.m.size)
+        if delta < solves.tol:
+            break
+    else:
+        solves.capped.append(delta)
+    eta = linear_predictors(state.beta, state.m, data.x, state.reference)
+    return dataset_log_likelihood(data, eta), J
 
 
-def start_problem(K, n, seed, scale=0.5):
+def start_problem(K, n, seed, tol=TOL):
     data = sine_dgp(K, n, seed)
-    kernel = bandwidth_from_scale(data.t, scale)
-    return data, profile.starting_state(data, K), _WeightCache(kernel, data.t)
+    state = profile.starting_state(data, K)
+    return data, state, _Solves(data, bandwidth_from_scale(data.t, 0.5),
+                                state.categories(), tol)
 
 
 class TestAcceleratedResolve:
     @pytest.mark.parametrize("K", [3, 4])
     def test_matches_plain_passes(self, monkeypatch, K):
-        data, state, wcache = start_problem(K, 250, seed=2)
-        Wy = score_terms(data, state.categories(), wcache)
+        _, state, solves = start_problem(K, 250, seed=2, tol=1e-12)
         fast, slow = state.copy(), state.copy()
         monkeypatch.setattr(profile, "_BURNIN_SWEEPS", 2000)
-        _, done, _ = _resolve_all_m(data, fast, Wy, wcache, 1e-12, None)
-        _, done_ref, _ = plain_resolve(data, slow, Wy, wcache, 1e-12)
-        assert done and done_ref
+        solves.curve(fast)
+        plain_curve(solves, slow)
+        assert not solves.capped
         np.testing.assert_allclose(fast.m, slow.m, rtol=0, atol=1e-8)
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -57,12 +63,12 @@ class TestAcceleratedResolve:
     def test_returned_curve_is_a_fixed_point(self, seed, scale):
         data, beta, m = random_state_dataset(seed)
         state = SmoothState(beta, m, reference=3)
-        wcache = _WeightCache(bandwidth_from_scale(data.t, scale), data.t)
-        Wy = score_terms(data, state.categories(), wcache)
-        _, done, _ = _resolve_all_m(data, state, Wy, wcache, TOL, None)
-        assert done
+        solves = _Solves(data, bandwidth_from_scale(data.t, scale),
+                         state.categories(), TOL)
+        solves.curve(state)
+        assert not solves.capped
         before = state.m.copy()
-        plain_resolve(data, state, Wy, wcache, TOL, max_sweeps=1)
+        plain_curve(solves, state, max_sweeps=1)
         assert np.abs(state.m - before).max() < 10 * TOL
 
     def test_fit_takes_at_most_six_tenths_of_the_plain_passes(
@@ -77,7 +83,7 @@ class TestAcceleratedResolve:
         ll = profile.profile_loglik(data, kernel, start.beta, start)
         accelerated = pass_counts["sweeps"]
         pass_counts["sweeps"] = 0
-        monkeypatch.setattr(profile, "_resolve_all_m", plain_resolve)
+        monkeypatch.setattr(_Solves, "curve", plain_curve)
         ref = profile.profile_loglik(data, kernel, start.beta, start)
         assert ll == pytest.approx(ref, abs=1e-8)
         assert accelerated <= 0.6 * pass_counts["sweeps"]
@@ -88,7 +94,7 @@ class TestAcceleratedResolve:
         fit = profile.fit_semiparametric(data, kernel)
         sweeps = pass_counts["sweeps"]
         pass_counts["sweeps"] = 0
-        monkeypatch.setattr(profile, "_resolve_all_m", plain_resolve)
+        monkeypatch.setattr(_Solves, "curve", plain_curve)
         ref = profile.fit_semiparametric(data, kernel)
         assert pass_counts["sweeps"] == sweeps
         assert np.array_equal(fit.beta, ref.beta)
@@ -98,13 +104,11 @@ class TestAcceleratedResolve:
 
 class TestSweepCap:
     def test_resolve_reports_the_cap(self, monkeypatch):
-        data, state, wcache = start_problem(3, 200, seed=1)
+        _, state, solves = start_problem(3, 200, seed=1)
         monkeypatch.setattr(profile, "_BURNIN_SWEEPS", 1)
-        _, done, change = _resolve_all_m(
-            data, state, score_terms(data, state.categories(), wcache),
-            wcache, TOL, None)
-        assert not done
-        assert change >= TOL
+        solves.curve(state)
+        assert len(solves.capped) == 1
+        assert solves.capped[0] >= TOL
 
     def test_fit_warns_once(self, monkeypatch):
         data = sine_dgp(3, 200, seed=1)

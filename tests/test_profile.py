@@ -1,5 +1,7 @@
 """Kernel-smoothed profile likelihood: local solves, gradients, fitting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,8 @@ from semilogit import (
     softmax_probabilities,
 )
 from semilogit.profile import _category_pass, _WeightCache
-from conftest import cold_jacobian, cold_sweep, random_state_dataset, sine_dgp
+from conftest import (MISMATCHES, cold_jacobian, cold_sweep, mismatched,
+                      random_state_dataset, sine_dgp)
 
 
 def zero_state(data, K):
@@ -392,6 +395,17 @@ class TestPredict:
         data, fit = converged_fit
         with pytest.raises(ShapeError):
             predict_surface(fit, data, [[0.0], [0.5]], x_fixed)
+
+    @pytest.mark.parametrize("part", MISMATCHES)
+    def test_surface_checks_the_fit_against_the_data(self, converged_fit, part):
+        # a fit whose kernel, m or beta is not of its data's shape, as a
+        # fit_state.json edited by hand would give
+        data, fit = converged_fit
+        kernel, smooth = mismatched(fit.kernel, fit.smooth, part)
+        spoiled = dataclasses.replace(fit, kernel=kernel, smooth=smooth,
+                                      beta=smooth.beta)
+        with pytest.raises(ShapeError):
+            predict_surface(spoiled, data, [[0.0], [0.5]], [0.0])
 
 
 class TestOracleCrossChecks:

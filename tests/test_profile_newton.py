@@ -6,6 +6,7 @@ import pytest
 
 from semilogit import (
     DGPSpec,
+    ShapeError,
     SmoothState,
     bandwidth_from_scale,
     fit_parametric,
@@ -15,29 +16,34 @@ from semilogit import (
     simulate,
 )
 from semilogit import profile
-from conftest import sine_dgp
+from conftest import MISMATCHES, mismatched, sine_dgp
 
 
 @pytest.fixture
-def recorder(monkeypatch):
-    """Records the iterate and the solved J at every Jacobian solve, and
-    every Newton step taken from it."""
-    rec = {"betas": [], "jacobians": [], "steps": []}
-    jacobian, newton = profile._profile_jacobian, profile._newton_step
-
-    def recorded_jacobian(data, state, *args, **kwargs):
-        rec["betas"].append(state.beta.copy())
-        out = jacobian(data, state, *args, **kwargs)
-        rec["jacobians"].append(out[0])
-        return out
+def steps(monkeypatch):
+    """Every Newton step the fit takes, in order."""
+    taken, newton = [], profile._newton_step
 
     def recorded_step(*args):
-        rec["steps"].append(newton(*args))
-        return rec["steps"][-1]
+        taken.append(newton(*args))
+        return taken[-1]
 
-    monkeypatch.setattr(profile, "_profile_jacobian", recorded_jacobian)
     monkeypatch.setattr(profile, "_newton_step", recorded_step)
-    return rec
+    return taken
+
+
+def jacobian_solves(solve_log):
+    """The Jacobian solves of ``solve_log`` so far."""
+    return [entry for entry in solve_log if entry["kind"] == "jacobian"]
+
+
+def exact_jacobian(data, kernel, state, tol=profile._JACOBIAN_TOL):
+    """dm/dbeta at ``state``, solved cold to ``tol`` in a solve of its own,
+    which must not stop at its pass cap."""
+    solves = profile._Solves(data, kernel, state.categories(), tol)
+    J = solves.jacobian(state, None, tol)
+    assert not solves.capped
+    return J
 
 
 def linear_q2_dgp(K, n, seed):
@@ -77,6 +83,28 @@ class TestExactProfileScore:
         assert np.abs(score).min() > 1.0
         np.testing.assert_allclose(score, fd, rtol=0, atol=1e-6)
 
+    def test_scores_make_no_curve_sweep_and_no_score_term_pass(
+            self, monkeypatch, pass_counts):
+        # profile_scores solves J alone: W y_k, which only the curve
+        # sweeps read, is never formed
+        data = sine_dgp(3, 200, seed=1)
+        products = []
+        dot = profile._WeightCache.dot
+        monkeypatch.setattr(profile._WeightCache, "dot",
+                            lambda cache, Y: products.append(Y) or dot(cache, Y))
+        profile_scores(data, profile.starting_state(data, 3),
+                       bandwidth_from_scale(data.t, 0.5))
+        assert pass_counts["sweeps"] == 0 and pass_counts["jacobian"] > 0
+        assert products == []
+
+    @pytest.mark.parametrize("part", MISMATCHES)
+    def test_scores_check_the_state_against_the_data(self, part):
+        data = sine_dgp(3, 200, seed=1)
+        kernel, state = mismatched(bandwidth_from_scale(data.t, 0.5),
+                                   profile.starting_state(data, 3), part)
+        with pytest.raises(ShapeError):
+            profile_scores(data, state, kernel)
+
     def test_collapsed_kernel_reproduces_parametric_standard_errors(self):
         data = sine_dgp(3, 300, seed=1)
         fit = fit_semiparametric(data, bandwidth_from_scale(data.t, 1e6), tol=1e-8)
@@ -87,7 +115,7 @@ class TestExactProfileScore:
 
 
 class TestLoopContract:
-    def test_k3_fit_converges_on_an_undamped_step(self, recorder):
+    def test_k3_fit_converges_on_an_undamped_step(self, steps, solve_log):
         data = sine_dgp(3, 300, seed=4)
         fit = fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5))
         assert fit.converged
@@ -95,23 +123,24 @@ class TestLoopContract:
         # one direction per iteration, then the certificate: the Newton
         # step of the last Jacobian solve, made at the result, which also
         # gives the standard errors
-        assert len(recorder["steps"]) == fit.iterations + 1
-        assert np.array_equal(recorder["betas"][-1], fit.beta)
-        certificate, J = recorder["steps"][-1], recorder["jacobians"][-1]
+        solves = jacobian_solves(solve_log)
+        assert len(steps) == fit.iterations + 1
+        assert np.array_equal(solves[-1]["beta"], fit.beta)
+        certificate, J = steps[-1], solves[-1]["J"]
         assert np.abs(certificate).max() < 1e-6
         assert np.abs(J @ certificate).max() < 1e-6
         # the direction before it was taken with lam = 1
-        last_start = recorder["betas"][-2]
-        assert np.array_equal(fit.beta, last_start + recorder["steps"][-2].reshape(
+        last_start = solves[-2]["beta"]
+        assert np.array_equal(fit.beta, last_start + steps[-2].reshape(
             fit.beta.shape))
 
-    def test_no_separate_jacobian_pass_at_k2(self, recorder, pass_counts):
+    def test_no_separate_jacobian_pass_at_k2(self, steps, pass_counts):
         data = sine_dgp(2, 300, seed=3)
         fit = fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5))
         assert fit.converged
         # one direction per iteration and the certificate at the result
-        assert len(recorder["steps"]) == fit.iterations + 1
-        assert np.abs(recorder["steps"][-1]).max() < 1e-6
+        assert len(steps) == fit.iterations + 1
+        assert np.abs(steps[-1]).max() < 1e-6
         # every direction, the certificate and the standard errors take
         # the closing curve sweep's Jacobian pass, which is exact for one
         # category; the sweeps are as many as when each direction paid a
@@ -119,70 +148,43 @@ class TestLoopContract:
         assert pass_counts == {"sweeps": 9, "jacobian": 0}
 
     @pytest.mark.parametrize("n, seed", [(400, 3), (300, 1)])
-    def test_k2_jacobian_is_the_jacobian_at_the_result(self, monkeypatch, n, seed):
-        used = []
-        jacobian = profile._profile_jacobian
-
-        def recorded(*args, **kwargs):
-            out = jacobian(*args, **kwargs)
-            used.append(out[0])
-            return out
-
-        monkeypatch.setattr(profile, "_profile_jacobian", recorded)
+    def test_k2_jacobian_is_the_jacobian_at_the_result(self, solve_log, n, seed):
         data = sine_dgp(2, n, seed)
         kernel = bandwidth_from_scale(data.t, 0.5)
         fit = fit_semiparametric(data, kernel)
         assert fit.converged
         # the standard errors' J, against one cold pass at the returned state
-        exact, done, _ = jacobian(data, fit.smooth,
-                                  profile._WeightCache(kernel, data.t))
-        assert done
-        np.testing.assert_allclose(used[-1], exact, rtol=0, atol=1e-12)
+        used = jacobian_solves(solve_log)[-1]["J"]
+        exact = exact_jacobian(data, kernel, fit.smooth)
+        np.testing.assert_allclose(used, exact, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("K, n, seed", [(3, 300, 4), (4, 250, 2)])
-    def test_each_jacobian_solve_saves_a_pass(self, monkeypatch, pass_counts,
+    def test_each_jacobian_solve_saves_a_pass(self, solve_log, pass_counts,
                                               K, n, seed):
         # every Jacobian solve of the fit against the same solve, to the
         # same tolerance, continued from the previous solve's J: the warm
         # start without the sweeps' running Jacobian
-        jacobian = profile._profile_jacobian
-        solves = []          # (state, tol, passes) per Jacobian solve of the fit
-
-        def recorded(data, state, wcache, J, tol):
-            before = pass_counts["jacobian"]
-            out = jacobian(data, state, wcache, J, tol)
-            solves.append((state.copy(), tol, pass_counts["jacobian"] - before))
-            return out
-
-        monkeypatch.setattr(profile, "_profile_jacobian", recorded)
         data = sine_dgp(K, n, seed)
         kernel = bandwidth_from_scale(data.t, 0.5)
         fit = fit_semiparametric(data, kernel)
         assert fit.converged
-        wcache = profile._WeightCache(kernel, data.t)
+        solves = profile._Solves(data, kernel, fit.categories, 1e-6)
         J = None
-        for state, tol, fused in solves:
+        for fused in jacobian_solves(solve_log):
             before = pass_counts["jacobian"]
-            J, done, _ = jacobian(data, state, wcache, J, tol)
-            assert done
-            assert fused <= pass_counts["jacobian"] - before - (K - 1)
+            J = solves.jacobian(SmoothState(fused["beta"], fused["m"], K), J,
+                                fused["tol"])
+            assert not solves.capped
+            assert fused["passes"] <= pass_counts["jacobian"] - before - (K - 1)
 
     @pytest.mark.parametrize("K, n, seed", [(3, 300, 4), (2, 400, 3)])
     def test_trial_solves_start_at_the_first_order_prediction(
-            self, monkeypatch, K, n, seed):
-        solves = []        # (start, result) of every curve solve
-        resolve = profile._resolve_all_m
-
-        def recorded(data, state, *args, **kwargs):
-            start = state.m.copy()
-            out = resolve(data, state, *args, **kwargs)
-            solves.append((start, state.m.copy()))
-            return out
-
-        monkeypatch.setattr(profile, "_resolve_all_m", recorded)
+            self, solve_log, K, n, seed):
         data = sine_dgp(K, n, seed)
         fit = fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5))
         assert fit.converged
+        # (start, result) of every curve solve
+        solves = [(e["m"], e["solved"]) for e in solve_log if e["kind"] == "curve"]
         # no halvings: one trial per step, each from the last solved curve
         assert len(solves) == fit.iterations + 1
         for (_, m_prev), (start, solved) in zip(solves, solves[1:]):
@@ -199,20 +201,19 @@ class TestForcingTerms:
     @pytest.mark.parametrize("K, q", [(3, 1), (4, 1), (3, 2), (4, 2)],
                              ids=["3", "4", "3-q2", "4-q2"])
     def test_standard_errors_take_a_tight_jacobian_at_the_result(
-            self, recorder, K, q, max_iter):
+            self, solve_log, K, q, max_iter):
         data = sine_dgp(K, 250, seed=2) if q == 1 else linear_q2_dgp(K, 250, seed=2)
         kernel = bandwidth_from_scale(data.t, 0.5)
         fit = fit_semiparametric(data, kernel, max_iter=max_iter)
         assert fit.converged == (max_iter == 200)
-        J = recorder["jacobians"][-1]
-        assert np.array_equal(recorder["betas"][-1], fit.beta)
+        last = jacobian_solves(solve_log)[-1]
+        J = last["J"]
+        assert np.array_equal(last["beta"], fit.beta)
         _, info = profile._score_information(data, fit.smooth, J)
         assert np.array_equal(fit.beta_se,
                               profile._standard_errors(info, fit.beta.shape))
         # against a cold solve well past _JACOBIAN_TOL at the returned state
-        exact, done, _ = profile._profile_jacobian(
-            data, fit.smooth, profile._WeightCache(kernel, data.t), tol=1e-13)
-        assert done
+        exact = exact_jacobian(data, kernel, fit.smooth, 1e-13)
         np.testing.assert_allclose(J, exact, rtol=0, atol=1e-10)
         if fit.converged:
             step = profile._newton_step(*profile._score_information(
@@ -248,44 +249,37 @@ class TestForcingTerms:
         assert again.converged
         assert again.iterations == 1
 
-    def test_declined_certificate_gives_the_next_direction(self, monkeypatch):
+    def test_declined_certificate_gives_the_next_direction(self, monkeypatch,
+                                                           solve_log):
         # the first certificate's step is pushed past tol: the fit goes on
         # from that step and its exact J, with no second Jacobian solve
-        events = []
-        jacobian, newton = profile._profile_jacobian, profile._newton_step
-        resolve = profile._resolve_all_m
+        events = solve_log           # the solves, and the declined step
+        newton = profile._newton_step
 
-        def recorded_jacobian(data, state, wcache, J, tol):
-            events.append(("jacobian", tol))
-            return jacobian(data, state, wcache, J, tol)
+        def tight_jacobian(event):
+            return event["kind"] == "jacobian" and event["tol"] == profile._JACOBIAN_TOL
 
         def recorded_step(score, info):
             step = newton(score, info)
-            if events[-1] == ("jacobian", profile._JACOBIAN_TOL) and not any(
-                    event[0] == "declined" for event in events):
+            if tight_jacobian(events[-1]) and not any(
+                    event["kind"] == "declined" for event in events):
                 step = step + 2e-6
-                events.append(("declined", step))
+                events.append({"kind": "declined", "step": step})
             return step
 
-        def recorded_resolve(data, state, *args):
-            events.append(("curve", state.beta.copy()))
-            return resolve(data, state, *args)
-
-        monkeypatch.setattr(profile, "_profile_jacobian", recorded_jacobian)
         monkeypatch.setattr(profile, "_newton_step", recorded_step)
-        monkeypatch.setattr(profile, "_resolve_all_m", recorded_resolve)
         data = sine_dgp(3, 300, seed=4)
         fit = fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5))
         assert fit.converged
-        i = next(i for i, event in enumerate(events) if event[0] == "declined")
-        declined, (kind, trial_beta) = events[i][1], events[i + 1]
-        assert kind == "curve"
-        assert np.array_equal(trial_beta, events[i - 2][1] + declined.reshape(
+        i = next(i for i, event in enumerate(events) if event["kind"] == "declined")
+        declined, trial = events[i]["step"], events[i + 1]
+        assert trial["kind"] == "curve"
+        assert np.array_equal(trial["beta"], events[i - 2]["beta"] + declined.reshape(
             fit.beta.shape))
         # the next Jacobian solve is a loose one, after the step was taken
-        assert events[i + 2][0] == "jacobian"
-        assert events[i + 2][1] > profile._JACOBIAN_TOL
-        assert events[-1] == ("jacobian", profile._JACOBIAN_TOL)
+        assert events[i + 2]["kind"] == "jacobian"
+        assert events[i + 2]["tol"] > profile._JACOBIAN_TOL
+        assert tight_jacobian(events[-1])
 
 
 class TestProfileLoglik:
@@ -334,17 +328,9 @@ class TestCurveToleranceNoise:
         assert fit.warnings == []
         assert fit.iterations <= 4
 
-    def test_guard_exhausted_fit_keeps_its_last_jacobian(self, monkeypatch):
+    def test_guard_exhausted_fit_keeps_its_last_jacobian(self, monkeypatch,
+                                                         solve_log):
         monkeypatch.setattr(profile, "_CURVE_TOL", 1e-7)
-        jacobian = profile._profile_jacobian
-        solves = []       # (state, given J, tol, solved J) per Jacobian solve
-
-        def recorded(data, state, wcache, J, tol):
-            out = jacobian(data, state, wcache, J, tol)
-            solves.append((state.copy(), J, tol, out[0]))
-            return out
-
-        monkeypatch.setattr(profile, "_profile_jacobian", recorded)
         data = sine_dgp(3, 300, seed=1)
         kernel = bandwidth_from_scale(data.t, 0.5)
         fit = fit_semiparametric(data, kernel)
@@ -352,16 +338,17 @@ class TestCurveToleranceNoise:
         # the fit went back to the last iteration's start, where that
         # iteration's Jacobian solve stopped at its forcing tolerance; the
         # closing solve continues from that J to _JACOBIAN_TOL
+        solves = jacobian_solves(solve_log)
         assert len(solves) == fit.iterations + 1
-        (start, _, loose, last), (state, given, tol, J) = solves[-2:]
-        assert loose > profile._JACOBIAN_TOL and tol == profile._JACOBIAN_TOL
-        assert given is last
-        for s in (start, state):
-            assert np.array_equal(s.beta, fit.beta)
-            assert np.array_equal(s.m, fit.smooth.m)
-        exact, done, _ = jacobian(data, fit.smooth,
-                                  profile._WeightCache(kernel, data.t), None, 1e-13)
-        assert done
+        loose, closing = solves[-2:]
+        assert loose["tol"] > profile._JACOBIAN_TOL
+        assert closing["tol"] == profile._JACOBIAN_TOL
+        assert closing["given"] is loose["J"]
+        for s in (loose, closing):
+            assert np.array_equal(s["beta"], fit.beta)
+            assert np.array_equal(s["m"], fit.smooth.m)
+        J = closing["J"]
+        exact = exact_jacobian(data, kernel, fit.smooth, 1e-13)
         np.testing.assert_allclose(J, exact, rtol=0, atol=1e-10)
         _, info = profile._score_information(data, fit.smooth, J)
         assert np.array_equal(fit.beta_se,
