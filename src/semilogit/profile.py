@@ -85,7 +85,11 @@ temporaries.  Query points against observation points are not symmetric:
 the surface solve runs plain row blocks through the same logistic.  Its
 g is fixed, so each point's solve is scalar Newton, converging
 quadratically, and it stops on a proven bound on the remaining error
-rather than on a pass whose step is already negligible.
+rather than on a pass whose step is already negligible.  With one smooth
+covariate it starts from the fitted m interpolated along t, close enough
+that a block near the fitted curve usually stops after one step; with
+more it starts from the nearest observation point's m and usually takes
+two.
 
 Every pass uses every core the process may run on.  The blocks are cut
 into ``_CHUNKS`` contiguous runs of about equal weight count, and the
@@ -123,6 +127,7 @@ from .core import (
 )
 from .exceptions import (
     ConfigError,
+    InvalidPredictorError,
     NoLocalDataError,
     NonIdentifiedError,
     NumericalFailureError,
@@ -990,29 +995,41 @@ def _solve_m_at_points(data, state, kernel, Tq):
     """Solve the local first-order conditions at arbitrary points, (K-1, G).
 
     Each block of query points gets its kernel weights once.  On it every
-    category's smooth takes local Newton steps clipped at ``STEP_CAP``
-    from the nearest observation point's value, for at most
-    ``_BURNIN_SWEEPS`` steps.  Each point solves f(mu) = sum_j w_j (y_j -
-    sigma(g_j + mu)) = 0, where f' = -sum w sigma (1 - sigma) < 0 and
-    |f''| <= |f'|, so |f'| changes by at most a factor e^|d| over a move
-    d.  After a step s, Taylor's theorem gives |f(mu + s)| <= 1/2 s^2
-    e^|s| |f'(mu + s)|, and the same factor puts the root within
-    -log(1 - 1/2 s^2 e^|s|) of mu + s.  The block stops once its largest
-    step s has s^2 e^(2s) <= ``_POINT_TOL``, which bounds every point's
-    remaining error by 1/2 ``_POINT_TOL``, without a pass that only
-    confirms it; a step clipped at the cap never meets the rule.  On a
-    pass where some step is clipped, the signs of the steps bracket every
-    root between the values such passes visited, and a clipped step that
-    would leave its bracket goes to the bracket's midpoint instead
-    (:func:`_bracketed_step`), so clipped steps cannot cycle; a pass
-    without a clipped step is plain Newton.  The blocks stand alone and
-    run on the pool; when several have a point without kernel weight, the
-    first of them raises.
+    category's smooth takes local Newton steps clipped at ``STEP_CAP``, for
+    at most ``_BURNIN_SWEEPS`` steps, from a seed.  With one smooth
+    covariate (q = 1) the seed is the fitted m interpolated linearly along
+    t, held at the end values outside the observed range: the fitted m
+    samples the same smooth root function the query solve evaluates, so the
+    seed is off by about 1/8 D^2 max|m''| for observation spacing D, and
+    near the fitted curve one step usually proves the bound below.  With
+    q >= 2 the seed is the nearest observation point's value, about
+    |grad m| D / 2 off, and a block usually takes two steps.  Each point
+    solves f(mu) = sum_j w_j (y_j - sigma(g_j + mu)) = 0, where f' = -sum w
+    sigma (1 - sigma) < 0 and |f''| <= |f'|, so |f'| changes by at most a
+    factor e^|d| over a move d.  After a step s, Taylor's theorem gives
+    |f(mu + s)| <= 1/2 s^2 e^|s| |f'(mu + s)|, and the same factor puts the
+    root within -log(1 - 1/2 s^2 e^|s|) of mu + s.  The block stops once its
+    largest step s has s^2 e^(2s) <= ``_POINT_TOL``, which bounds every
+    point's remaining error by 1/2 ``_POINT_TOL``, without a pass that only
+    confirms it; a step clipped at the cap never meets the rule.  On a pass
+    where some step is clipped, the signs of the steps bracket every root
+    between the values such passes visited, and a clipped step that would
+    leave its bracket goes to the bracket's midpoint instead
+    (:func:`_bracketed_step`), so clipped steps cannot cycle; a pass without
+    a clipped step is plain Newton.  A query point that is not finite raises
+    before any step.  The blocks stand alone and run on the pool; when
+    several have a point without kernel weight, the first of them raises.
     """
     Tq = np.atleast_2d(np.asarray(Tq, dtype=np.float64))
     if Tq.shape[1] != data.q:
         raise ShapeError(f"query points must have dimension {data.q}")
+    bad = np.flatnonzero(~np.isfinite(Tq).all(axis=1))
+    if bad.size:
+        raise InvalidPredictorError(f"query point {int(bad[0])} is not finite")
     cats = state.categories()
+    if data.q == 1:
+        order = np.argsort(data.t[:, 0], kind="stable")
+        t_sorted, m_sorted = data.t[order, 0], state.m[:, order]
     logits = [_Logistic(_fixed_logit_parts(data, state, row)[0])
               for row in range(len(cats))]
     Y = (data.y[:, None] == cats) * 1.0     # y_k, a column per category
@@ -1023,7 +1040,7 @@ def _solve_m_at_points(data, state, kernel, Tq):
         W = _scratch("weights", (stop - start, data.n))
         with np.errstate(over="ignore"):     # a distance that overflows weighs 0
             _cross_weights(kernel, Tq[start:stop], data.t, out=W)
-        # seed from the most-weighted (nearest) observation point; the
+        # the most-weighted (nearest) observation point seeds q >= 2; the
         # weights are >= 0, so a point whose largest is 0 has none
         nearest = np.argmax(W, axis=1)
         empty = np.flatnonzero(W[np.arange(stop - start), nearest] == 0.0)
@@ -1032,7 +1049,8 @@ def _solve_m_at_points(data, state, kernel, Tq):
                                    f"{start + int(empty[0])}")
         Wy = np.dot(W, Y)      # W y_k, fixed across the passes
         for row in range(len(cats)):
-            mub = state.m[row][nearest]
+            mub = np.interp(Tq[start:stop, 0], t_sorted, m_sorted[row]) \
+                if data.q == 1 else state.m[row][nearest]
             bracket = None
             for _ in range(_BURNIN_SWEEPS):
                 newton = _local_steps(W, Wy[:, row], logits[row], mub)
@@ -1055,8 +1073,10 @@ def predict_probabilities(fit: SemiparametricFitResult, data: Dataset,
     """Category probabilities at a new covariate point.
 
     Each m_k(t_new) is re-solved from the fitted state (coefficients
-    fixed), seeded at the nearest observation point's value; the
-    probabilities then follow from the softmax of the new predictors.
+    fixed), seeded by the fitted m interpolated along t when there is one
+    smooth covariate and by the nearest observation point's value
+    otherwise; the probabilities then follow from the softmax of the new
+    predictors.
     """
     x_new = np.atleast_1d(np.asarray(x_new, dtype=np.float64))
     t_new = np.atleast_1d(np.asarray(t_new, dtype=np.float64))

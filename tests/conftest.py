@@ -92,6 +92,17 @@ def sine_dgp(K, n, seed):
         t_laws=({"kind": "uniform", "lo": -2.0, "hi": 2.0},)))
 
 
+def linear_q2_dgp(K, n, seed):
+    """K categories with two smooth covariates t ~ (U(-2, 2), N(0, 1)):
+    every smooth is 0.5 t1 - 0.3 t2, and beta is sine_dgp's."""
+    return simulate(DGPSpec(
+        n_categories=K, n=n, seed=seed, beta=[[1.0], [-0.5], [0.3]][:K - 1],
+        smooth=tuple({"kind": "linear", "slopes": [0.5, -0.3]}
+                     for _ in range(K - 1)),
+        x_laws=({"kind": "normal"},),
+        t_laws=({"kind": "uniform", "lo": -2.0, "hi": 2.0}, {"kind": "normal"})))
+
+
 @pytest.fixture
 def small_binary_data():
     spec = DGPSpec(

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from semilogit import (
-    DGPSpec,
     ShapeError,
     SmoothState,
     bandwidth_from_scale,
@@ -13,10 +12,9 @@ from semilogit import (
     fit_semiparametric,
     profile_loglik,
     profile_scores,
-    simulate,
 )
 from semilogit import profile
-from conftest import MISMATCHES, mismatched, sine_dgp
+from conftest import MISMATCHES, linear_q2_dgp, mismatched, sine_dgp
 
 
 @pytest.fixture
@@ -44,17 +42,6 @@ def exact_jacobian(data, kernel, state, tol=profile._JACOBIAN_TOL):
     J = solves.jacobian(state, None, tol)
     assert not solves.capped
     return J
-
-
-def linear_q2_dgp(K, n, seed):
-    """K categories with two smooth covariates t ~ (U(-2, 2), N(0, 1)):
-    every smooth is 0.5 t1 - 0.3 t2, and beta is sine_dgp's."""
-    return simulate(DGPSpec(
-        n_categories=K, n=n, seed=seed, beta=[[1.0], [-0.5], [0.3]][:K - 1],
-        smooth=tuple({"kind": "linear", "slopes": [0.5, -0.3]}
-                     for _ in range(K - 1)),
-        x_laws=({"kind": "normal"},),
-        t_laws=({"kind": "uniform", "lo": -2.0, "hi": 2.0}, {"kind": "normal"})))
 
 
 class TestExactProfileScore:

@@ -2,6 +2,7 @@
 triangular cache and its two-direction pass, block layout, and the
 chunks and thread pool that spread it over the cores."""
 
+import math
 import multiprocessing
 import sys
 import threading
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from semilogit import (
+    Dataset,
+    InvalidPredictorError,
     KernelConfig,
     NoLocalDataError,
     SemilogitError,
@@ -30,8 +33,8 @@ from semilogit.profile import (
     _symmetric_sums,
     _WeightCache,
 )
-from conftest import (cold_jacobian, cold_sweep, random_state_dataset,
-                      score_terms, sine_dgp)
+from conftest import (cold_jacobian, cold_sweep, linear_q2_dgp,
+                      random_state_dataset, score_terms, sine_dgp)
 
 
 def all_weights(kernel, Tq, T):
@@ -299,17 +302,65 @@ class TestPointSolveStop:
         assert len(point_steps) < 20
         np.testing.assert_allclose(mu, near, rtol=0, atol=profile._POINT_TOL)
 
-    def test_k2_block_takes_two_passes(self, point_steps):
-        data = sine_dgp(2, 300, 1)
+    @pytest.mark.parametrize("q, passes", [(1, 1), (2, 2)])
+    def test_k2_block_passes_next_to_observation_points(self, point_steps,
+                                                         q, passes):
+        data = sine_dgp(2, 300, 1) if q == 1 else linear_q2_dgp(2, 300, 1)
         kern = bandwidth_from_scale(data.t, 0.5)
         fit = fit_semiparametric(data, kern)
-        # query points next to observation points, whose fitted m seeds them
+        # at q = 1 the fitted m interpolated along t seeds these points
+        # within the first step's proof; at q = 2 the nearest observation
+        # point's m seeds them one step further off
         mu = _solve_m_at_points(data, fit.smooth, kern, data.t[:40] + 1e-3)
         assert mu.shape == (1, 40)
-        # the second step already proves the error below _POINT_TOL; a solve
-        # stopping on a step below _POINT_TOL would have taken a third pass
-        assert len(point_steps) == 2
-        assert point_steps[1] > profile._POINT_TOL
+        # the last step already proves the error below _POINT_TOL; a solve
+        # stopping on a step below _POINT_TOL would have taken one more pass
+        assert len(point_steps) == passes
+        assert point_steps[-1] > profile._POINT_TOL
+
+    def test_k2_surface_takes_one_pass_per_block(self, point_steps):
+        # the shape of perfbench's k2 surfaces: a fine 1-D grid over a
+        # dense draw, seeded from the interpolated fitted curve
+        data = sine_dgp(2, 2000, 1)
+        kern = bandwidth_from_scale(data.t, 0.5)
+        fit = fit_semiparametric(data, kern)
+        grid = np.linspace(-1.9, 1.9, 400)[:, None]
+        _solve_m_at_points(data, fit.smooth, kern, grid)
+        assert len(point_steps) == math.ceil(400 / profile._block_rows(data.n))
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_tied_and_out_of_range_points(self, monkeypatch, K):
+        # a smooth covariate in whole years: every value is tied
+        draw = sine_dgp(K, 300, 4)
+        data = Dataset(y=draw.y, x=draw.x, t=np.floor(10.0 * (draw.t + 2.0)),
+                       n_categories=K)
+        lo, hi = data.t.min(), data.t.max()
+        kern = bandwidth_from_scale(data.t, 0.5)
+        fit = fit_semiparametric(data, kern)
+        Tq = np.array([lo, lo + 7.0, hi, lo + 3.5, hi - 0.25,
+                       lo - 3.0, hi + 4.5])[:, None]
+        mu = _solve_m_at_points(data, fit.smooth, kern, Tq)
+        assert np.all(np.isfinite(mu))
+        monkeypatch.setattr(profile, "_POINT_TOL", 1e-28)
+        continued = _solve_m_at_points(data, fit.smooth, kern, Tq)
+        np.testing.assert_allclose(mu, continued, rtol=0, atol=1e-10)
+        for row, k in enumerate(fit.smooth.categories()):
+            for j, tq in enumerate(Tq):
+                score, curv = local_smoothed_score(data, int(k), tq, mu[row, j],
+                                                   fit.smooth, kern)
+                assert abs(score / curv) < 1e-9
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_point_fails_before_any_step(self, point_steps,
+                                                   value, q):
+        data, beta, m = random_state_dataset(11, n=80, q=q, K=2)
+        kern = bandwidth_from_scale(data.t, 0.8)
+        Tq = np.random.default_rng(3).normal(size=(30, q))
+        Tq[7, q - 1] = value
+        with pytest.raises(InvalidPredictorError, match="query point 7 "):
+            _solve_m_at_points(data, SmoothState(beta, m, reference=2), kern, Tq)
+        assert point_steps == []
 
 
 def _ragged_cache(monkeypatch, kern, T, cached, rows=9):
