@@ -330,7 +330,7 @@ class TestPointSolveStop:
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_tied_and_out_of_range_points(self, monkeypatch, K):
-        # a smooth covariate in whole years: every value is tied
+        # a smooth covariate in whole units, like age in years: tied values
         draw = sine_dgp(K, 300, 4)
         data = Dataset(y=draw.y, x=draw.x, t=np.floor(10.0 * (draw.t + 2.0)),
                        n_categories=K)
