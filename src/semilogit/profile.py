@@ -52,7 +52,15 @@ Anderson-mixed from its last few passes (Anderson 1965; Walker & Ni
 With K = 2 there is one uncoupled curve: each curve pass is a pointwise
 Newton step converging quadratically and runs plain, and one Jacobian
 pass is exact, so the closing sweep's J is the fit's and a K = 2 fit
-makes no separate Jacobian pass.
+makes no separate Jacobian pass.  Its offsets g = x beta do not depend
+on m, so the local conditions are n scalar roots of the function of t
+that the surface solve below evaluates.  With q = 1 and no given start,
+the fit solves them exactly at coarse nodes, the first observation of
+each ``_SEED_BIN``-bandwidth bin along t and the largest t, and
+interpolates to every point (nested iteration, Brandt 1977): the burn-in
+starts about 1/8 D^2 max|m''| off the curve, node spacing D, and takes
+two sweeps instead of five.  At K >= 3 g depends on the other m, so a
+node solve would be one Jacobi step.
 
 Identifiability: the reference category's beta row and m row are
 structurally zero and never stored.
@@ -205,6 +213,13 @@ _CURVE_TOL = 1e-9
 # Bound on |m - root| below which a query-point solve stops; the bound is
 # taken from the last Newton step (see _solve_m_at_points).
 _POINT_TOL = 1e-10
+# Bin width, in bandwidths, of the coarse nodes that seed a K = 2, q = 1
+# burn-in (see fit_semiparametric).  Burn-in sweeps on perfbench's
+# k2-uncached draw (seed 5, n = 6100) by bin width:
+#     h/8  3    h/16  3    h/32  2    h/64  2
+# The seed is skipped above n/4 nodes: there its solve costs about what
+# the sweeps it saves do.
+_SEED_BIN = 1.0 / 32
 _EXP_SAFE = 350.0     # (1 + e^-g e^-mu)^2 is finite while |g| + |mu| stays below
 
 
@@ -391,10 +406,11 @@ def _cross_weights(kernel: KernelConfig, Tq: np.ndarray, T: np.ndarray,
     block of at most ``_BLOCK_DOUBLES`` weights.
     """
     scale = 1.0 / (np.sqrt(2.0) * kernel.bandwidths)
-    Aq, A = Tq * scale, T * scale
-    for d in range(A.shape[1]):
+    # a row per dimension: a strided column slows the outer difference
+    Aq, A = (np.ascontiguousarray((X * scale).T) for X in (Tq, T))
+    for d in range(A.shape[0]):
         z = out if d == 0 else _scratch("distance", out.shape)
-        np.subtract.outer(Aq[:, d], A[:, d], out=z)
+        np.subtract.outer(Aq[d], A[d], out=z)
         z *= z
         if d:
             out += z
@@ -486,8 +502,10 @@ class _Logistic:
         self.g = g
         self.headroom = _EXP_SAFE - float(np.abs(g).max())
         self.plain = np.ones((g.shape[0], 2))
-        self.factored = None if self.headroom <= 0.0 else np.column_stack(
-            [self.plain[:, 0], np.exp(-g)])
+        # e^-g contiguous too: a strided column slows the outer product
+        self.eg = None if self.headroom <= 0.0 else np.exp(-g)
+        self.factored = None if self.eg is None else np.column_stack(
+            [self.plain[:, 0], self.eg])
 
     def columns(self, mu, R=None) -> tuple:
         """(e^-mu, [1 | e^-g | e^-g R]) for the points mu, or, when some
@@ -509,7 +527,7 @@ class _Logistic:
         C = C[obs]
         if emu is not None:
             T = _scratch("logistic", W.shape)
-            eg = self.factored[obs, 1]
+            eg = self.eg[obs]
             np.multiply.outer(*((eg, emu) if down else (emu, eg)), out=T)
             T += 1.0
             T *= T
@@ -856,8 +874,11 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     fit stops after the first solve, so ``loglik`` is the profile
     log-likelihood at the starting coefficients (:func:`profile_loglik`
     computes it alone).  ``start`` replaces the parametric start, and its
-    reference is the fit's.  Local steps are clipped at ``STEP_CAP``, with
-    at most ``_BURNIN_SWEEPS`` passes per solve.
+    reference is the fit's.  Without it, a K = 2 fit with one smooth
+    covariate starts its first solve from the curve solved at coarse
+    nodes (module docstring), unless they number more than n/4.  Local
+    steps are clipped at ``STEP_CAP``, with at most ``_BURNIN_SWEEPS``
+    passes per solve.
 
     J = dm/dbeta comes from the closing sweep of the curve solve at the
     current coefficients (see the module docstring): with K = 2 that pass
@@ -874,6 +895,15 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     a warning, since the trace entry or score it fed is then inexact.
     """
     state, reference, cats = _initial_state(data, kernel, reference, start)
+    if start is None and len(cats) == 1 and data.q == 1:
+        # nested iteration: the curve solved exactly at coarse nodes, the
+        # first observation of each bin and the last, seeds every point
+        t = np.sort(data.t[:, 0])
+        bins = np.floor((t - t[0]) / (_SEED_BIN * kernel.bandwidths[0]))
+        nodes = np.unique(np.append(t[np.unique(bins, return_index=True)[1]], t[-1]))
+        if nodes.size <= data.n / 4:
+            mu = _solve_m_at_points(data, state, kernel, nodes[:, None])
+            state.m = np.interp(data.t[:, 0], nodes, mu[0])[None, :]
     solves = _Solves(data, kernel, cats, tol)
     warnings: list = []
 
@@ -992,7 +1022,8 @@ def _bracketed_step(mu, newton, step, bracket):
 
 
 def _solve_m_at_points(data, state, kernel, Tq):
-    """Solve the local first-order conditions at arbitrary points, (K-1, G).
+    """Solve the local first-order conditions at arbitrary points, (K-1, G):
+    the surfaces' values, and the coarse nodes that seed a K = 2 fit.
 
     Each block of query points gets its kernel weights once.  On it every
     category's smooth takes local Newton steps clipped at ``STEP_CAP``, for

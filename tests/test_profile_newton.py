@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from semilogit import (
+    Dataset,
+    KernelConfig,
     ShapeError,
     SmoothState,
     bandwidth_from_scale,
@@ -177,6 +179,82 @@ class TestLoopContract:
         for (_, m_prev), (start, solved) in zip(solves, solves[1:]):
             moved = np.abs(m_prev - solved).max()
             assert np.abs(start - solved).max() <= max(0.1 * moved, 1e-8)
+
+
+@pytest.fixture
+def point_solves(monkeypatch):
+    """The query points of every ``_solve_m_at_points`` call, in order."""
+    calls, real = [], profile._solve_m_at_points
+
+    def recorded(data, state, kernel, Tq):
+        calls.append(np.array(Tq))
+        return real(data, state, kernel, Tq)
+
+    monkeypatch.setattr(profile, "_solve_m_at_points", recorded)
+    return calls
+
+
+def integer_t(data):
+    """``data`` with its t in whole units, like age in years: 40 values,
+    each tied about n / 40 times."""
+    return Dataset(y=data.y, x=data.x, t=np.floor(10.0 * (data.t + 2.0)),
+                   n_categories=data.n_categories)
+
+
+def gapped_t(data):
+    """``data`` with every t > 0 moved 50 to the right: a gap of 100
+    bandwidths at h = 0.5, whose midpoint gets no kernel weight."""
+    return Dataset(y=data.y, x=data.x, t=np.where(data.t > 0.0, data.t + 50.0, data.t),
+                   n_categories=data.n_categories)
+
+
+class TestCoarseSeed:
+    """A K = 2, q = 1 fit from the parametric start seeds its burn-in with
+    the curve solved at coarse observation nodes and interpolated along t."""
+
+    def test_burn_in_takes_two_sweeps(self, solve_log, pass_counts):
+        data = sine_dgp(2, 2000, seed=1)
+        fit = fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5))
+        assert fit.converged and fit.warnings == []
+        # from the parametric start: 5 burn-in sweeps and 10 in all
+        assert solve_log[0]["kind"] == "curve" and solve_log[0]["passes"] == 2
+        assert pass_counts == {"sweeps": 7, "jacobian": 0}
+
+    @pytest.mark.parametrize("draw, scale", [
+        (lambda: sine_dgp(2, 2000, 1), 0.5),
+        (lambda: sine_dgp(2, 2000, 1), 1.0),
+        (lambda: integer_t(sine_dgp(2, 2000, 4)), 0.5),
+        (lambda: gapped_t(sine_dgp(2, 2000, 2)), None),
+    ], ids=["scale-0.5", "scale-1.0", "tied", "gap"])
+    def test_seeded_fit_equals_the_unseeded_one(self, point_solves, draw, scale):
+        data = draw()
+        kernel = (KernelConfig([0.5]) if scale is None
+                  else bandwidth_from_scale(data.t, scale))
+        fit = fit_semiparametric(data, kernel)
+        assert len(point_solves) == 1
+        # the same parametric start given as ``start`` takes no seed
+        plain = fit_semiparametric(data, kernel,
+                                   start=profile.starting_state(data, 2))
+        assert len(point_solves) == 1
+        assert fit.converged and plain.converged
+        assert (fit.iterations, fit.warnings) == (plain.iterations, plain.warnings)
+        np.testing.assert_allclose(fit.beta, plain.beta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fit.beta_se, plain.beta_se, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fit.smooth.m, plain.smooth.m, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("case", ["n300", "q2", "K3", "start"])
+    def test_no_seed_off_its_path(self, point_solves, case):
+        # n = 300 has more nodes than n / 4 at h / 32: the seed would cost
+        # about what it saves
+        data = {"n300": lambda: sine_dgp(2, 300, 1),
+                "q2": lambda: linear_q2_dgp(2, 2000, 1),
+                "K3": lambda: sine_dgp(3, 2000, 1),
+                "start": lambda: sine_dgp(2, 2000, 1)}[case]()
+        start = profile.starting_state(data, 2) if case == "start" else None
+        fit = fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5),
+                                 start=start)
+        assert fit.converged
+        assert point_solves == []
 
 
 class TestForcingTerms:
