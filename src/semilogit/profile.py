@@ -217,8 +217,10 @@ _POINT_TOL = 1e-10
 # burn-in (see fit_semiparametric).  Burn-in sweeps on perfbench's
 # k2-uncached draw (seed 5, n = 6100) by bin width:
 #     h/8  3    h/16  3    h/32  2    h/64  2
-# The seed is skipped above n/4 nodes: there its solve costs about what
-# the sweeps it saves do.
+# Above n/4 nodes the seed is skipped.  Fit time with it against without
+# on sine_dgp(2, n, 1..8) of tests/conftest.py, scale 0.5:
+#     n 300 / 600 / 1000 / 1500, nodes/n 0.55 / 0.34 / 0.22 / 0.15:
+#     +4 / -7 / -11 / -21 %
 _SEED_BIN = 1.0 / 32
 _EXP_SAFE = 350.0     # (1 + e^-g e^-mu)^2 is finite while |g| + |mu| stays below
 
@@ -900,7 +902,7 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
         # first observation of each bin and the last, seeds every point
         t = np.sort(data.t[:, 0])
         bins = np.floor((t - t[0]) / (_SEED_BIN * kernel.bandwidths[0]))
-        nodes = np.unique(np.append(t[np.unique(bins, return_index=True)[1]], t[-1]))
+        nodes = np.unique(np.append(t[np.diff(bins, prepend=-1.0) > 0.0], t[-1]))
         if nodes.size <= data.n / 4:
             mu = _solve_m_at_points(data, state, kernel, nodes[:, None])
             state.m = np.interp(data.t[:, 0], nodes, mu[0])[None, :]

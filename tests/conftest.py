@@ -92,6 +92,13 @@ def sine_dgp(K, n, seed):
         t_laws=({"kind": "uniform", "lo": -2.0, "hi": 2.0},)))
 
 
+def integer_t(data):
+    """``data`` with sine_dgp's t in whole units, like age in years: 40
+    values, each tied about n / 40 times."""
+    return Dataset(y=data.y, x=data.x, t=np.floor(10.0 * (data.t + 2.0)),
+                   n_categories=data.n_categories)
+
+
 def linear_q2_dgp(K, n, seed):
     """K categories with two smooth covariates t ~ (U(-2, 2), N(0, 1)):
     every smooth is 0.5 t1 - 0.3 t2, and beta is sine_dgp's."""

@@ -16,7 +16,7 @@ from semilogit import (
     profile_scores,
 )
 from semilogit import profile
-from conftest import MISMATCHES, linear_q2_dgp, mismatched, sine_dgp
+from conftest import MISMATCHES, integer_t, linear_q2_dgp, mismatched, sine_dgp
 
 
 @pytest.fixture
@@ -133,7 +133,8 @@ class TestLoopContract:
         # every direction, the certificate and the standard errors take
         # the closing curve sweep's Jacobian pass, which is exact for one
         # category; the sweeps are as many as when each direction paid a
-        # pass of its own
+        # pass of its own.  At n = 300 there are more than n / 4 coarse
+        # nodes, so the burn-in starts from the parametric start.
         assert pass_counts == {"sweeps": 9, "jacobian": 0}
 
     @pytest.mark.parametrize("n, seed", [(400, 3), (300, 1)])
@@ -192,13 +193,6 @@ def point_solves(monkeypatch):
 
     monkeypatch.setattr(profile, "_solve_m_at_points", recorded)
     return calls
-
-
-def integer_t(data):
-    """``data`` with its t in whole units, like age in years: 40 values,
-    each tied about n / 40 times."""
-    return Dataset(y=data.y, x=data.x, t=np.floor(10.0 * (data.t + 2.0)),
-                   n_categories=data.n_categories)
 
 
 def gapped_t(data):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from semilogit import (
-    Dataset,
     InvalidPredictorError,
     KernelConfig,
     NoLocalDataError,
@@ -33,7 +32,7 @@ from semilogit.profile import (
     _symmetric_sums,
     _WeightCache,
 )
-from conftest import (cold_jacobian, cold_sweep, linear_q2_dgp,
+from conftest import (cold_jacobian, cold_sweep, integer_t, linear_q2_dgp,
                       random_state_dataset, score_terms, sine_dgp)
 
 
@@ -332,9 +331,7 @@ class TestPointSolveStop:
     @pytest.mark.parametrize("K", [2, 3])
     def test_tied_and_out_of_range_points(self, monkeypatch, K):
         # a smooth covariate in whole units, like age in years: tied values
-        draw = sine_dgp(K, 300, 4)
-        data = Dataset(y=draw.y, x=draw.x, t=np.floor(10.0 * (draw.t + 2.0)),
-                       n_categories=K)
+        data = integer_t(sine_dgp(K, 300, 4))
         lo, hi = data.t.min(), data.t.max()
         kern = bandwidth_from_scale(data.t, 0.5)
         fit = fit_semiparametric(data, kern)
