@@ -453,37 +453,32 @@ def run_fit(config: dict) -> int:
         fit = fit_parametric(data, reference=reference,
                              term_names=["intercept"] + x_names + t_names,
                              **opts)
-        out = _output_dir(config)
-        _write_coefficient_table(out / "coefficients.csv", fit.categories,
-                                 data.labels, fit.term_names,
-                                 fit.coefficients, fit.std_errors)
-        _write_trace(out / "loglik_trace.csv", fit.loglik_trace)
-        entries.update({
-            "fit.converged": fit.converged, "fit.iterations": fit.iterations,
-            "fit.loglik": fmt(fit.loglik), "fit.score_max": fmt(fit.score_max),
-        })
+        terms, coefficients, std_errors = fit.term_names, fit.coefficients, fit.std_errors
+        entries["fit.score_max"] = fmt(fit.score_max)
     else:
         if "bandwidths" in config["kernel"]:
             kernel = KernelConfig(bandwidths=config["kernel"]["bandwidths"])
         else:
             kernel = bandwidth_from_scale(data.t, config["kernel"]["scale"])
         fit = fit_semiparametric(data, kernel, reference=reference, **opts)
-        out = _output_dir(config)
-        _write_coefficient_table(out / "coefficients.csv", fit.categories,
-                                 data.labels, x_names, fit.beta, fit.beta_se)
-        _write_trace(out / "loglik_trace.csv", fit.loglik_trace)
-        _write_m_values(out / "m_values.csv", data, fit, t_names)
-        _write_fit_state(out / "fit_state.json", data, fit, x_names, t_names)
+        terms, coefficients, std_errors = x_names, fit.beta, fit.beta_se
         entries.update({
-            "fit.converged": fit.converged, "fit.iterations": fit.iterations,
-            "fit.loglik": fmt(fit.loglik),
             "fit.se_construction": "profile-information",
             "kernel.scale": fmt(kernel.scale) if kernel.scale else "explicit",
         })
         for d, h in enumerate(kernel.bandwidths, start=1):
             entries[f"kernel.bandwidth.{d}"] = fmt(h)
-        for w, warning in enumerate(fit.warnings, start=1):
-            entries[f"fit.warning.{w}"] = warning
+
+    out = _output_dir(config)
+    _write_coefficient_table(out / "coefficients.csv", fit.categories,
+                             data.labels, terms, coefficients, std_errors)
+    _write_trace(out / "loglik_trace.csv", fit.loglik_trace)
+    if config["model"] != "parametric":
+        _write_m_values(out / "m_values.csv", data, fit, t_names)
+        _write_fit_state(out / "fit_state.json", data, fit, x_names, t_names)
+    entries.update({"fit.converged": fit.converged, "fit.iterations": fit.iterations,
+                    "fit.loglik": fmt(fit.loglik)})
+    entries.update({f"fit.warning.{w}": text for w, text in enumerate(fit.warnings, 1)})
 
     _write_manifest(out / "manifest.txt", entries)
     return 0 if fit.converged else 3

@@ -10,17 +10,18 @@ the gain is far below their rounding, and comparing totals there halves
 good steps away.
 
 Used as the desk benchmark, as the source of starting values for the
-semiparametric fitter, and inside the IIA specification tests.
+semiparametric fitter, and inside the IIA specification tests.  The
+profile fit shares its Newton direction, halving search and covariance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Dataset, _row_reduce, dataset_log_likelihood, nonreference_categories,
-                   softmax_probabilities)
+from .core import (Dataset, _row_reduce, dataset_log_likelihood, linear_predictors,
+                   nonreference_categories, softmax_probabilities)
 from .exceptions import (
     InsufficientDataError,
     NonIdentifiedError,
@@ -51,6 +52,7 @@ class ParametricFitResult:
     includes_smooth: bool
     score_max: float = np.nan     # max-norm of the score at the estimate
     n_obs: int = 0
+    warnings: list = field(default_factory=list)
 
     def row_of(self, k: int) -> int:
         """Coefficient row index for category k."""
@@ -73,12 +75,6 @@ def default_term_names(data: Dataset, include_smooth: bool = True) -> list:
     if include_smooth:
         names += [f"t{d + 1}" for d in range(data.q)]
     return names
-
-
-def _eta_from_theta(Z, theta, cats, K):
-    eta = np.zeros((Z.shape[0], K))
-    eta[:, cats - 1] = Z @ theta.T
-    return eta
 
 
 def _loglik_gain(P, delta, y):
@@ -108,6 +104,39 @@ def _score_and_information(Z, Y1h, Pn):
     return G.ravel(), info
 
 
+def _newton_direction(score, info):
+    """The Newton direction H^{-1} S; NonIdentifiedError when the
+    information H is singular."""
+    try:
+        return np.linalg.solve(info, score)
+    except np.linalg.LinAlgError:
+        raise NonIdentifiedError(
+            f"singular information matrix (cond={np.linalg.cond(info):.3e})") from None
+
+
+def _halving_search(trial, slack, halvings):
+    """Step-halving line search: ``trial(lam)`` returns ``(gain, value)``
+    for the step lam times the direction, tried at lam = 1, 1/2, ...,
+    2^-halvings.  Returns ``(lam, value)`` of the first trial whose gain is
+    at least ``-slack``, or None when no trial is acceptable."""
+    lam = 1.0
+    for _ in range(halvings + 1):
+        gain, value = trial(lam)
+        if gain >= -slack:
+            return lam, value
+        lam *= 0.5
+    return None
+
+
+def _covariance(info):
+    """H^{-1}, symmetrised; all NaN when the information H is singular."""
+    try:
+        vcov = np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        return np.full(info.shape, np.nan)
+    return 0.5 * (vcov + vcov.T)
+
+
 def fit_parametric(data: Dataset, *, reference: int | None = None,
                    include_smooth: bool = True, tol: float = 1e-8,
                    max_iter: int = 100,
@@ -116,8 +145,12 @@ def fit_parametric(data: Dataset, *, reference: int | None = None,
 
     Newton-Raphson on the joint likelihood across all (K-1)(p+1)
     coefficients, with up to 30 step-halvings per iteration so the
-    log-likelihood never decreases.  Convergence is declared when the
-    max-norm of the joint score falls below ``tol``.
+    log-likelihood never decreases.  It converges when the max-norm of
+    the joint score falls below ``tol``, else stops after ``max_iter``
+    steps (zero returns theta = 0); ``score_max`` and the SEs are those
+    at the returned coefficients.  When no halving makes a step
+    acceptable, the fit ends with the warning "line search found no
+    acceptable step at iteration N", N counted in ``iterations``.
 
     Raises
     ------
@@ -148,60 +181,50 @@ def fit_parametric(data: Dataset, *, reference: int | None = None,
 
     Y1h = (data.y[:, None] == cats[None, :]).astype(np.float64)
     theta = np.zeros((K - 1, pp))
-    eta = _eta_from_theta(Z, theta, cats, K)
+    eta = linear_predictors(theta, 0.0, Z, reference)
     ll = dataset_log_likelihood(data, eta)
     trace = [ll]
 
-    converged = False
-    score_max = np.inf
-    info = None
+    warnings: list = []
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    # Each pass opens with the score and information at the current theta,
+    # so the last one is taken at the returned coefficients.
+    for _ in range(max_iter + 1):
         P = softmax_probabilities(eta)
         g, info = _score_and_information(Z, Y1h, P[:, cats - 1])
         score_max = float(np.abs(g).max())
-        if score_max < tol:
-            converged = True
-            iterations -= 1
+        converged = score_max < tol
+        if converged or iterations == max_iter:
             break
-        try:
-            direction = np.linalg.solve(info, g).reshape(K - 1, pp)
-        except np.linalg.LinAlgError as err:
-            raise NonIdentifiedError(
-                f"singular information matrix at iteration {iterations}: {err}"
-            ) from None
+        iterations += 1
+        direction = _newton_direction(g, info).reshape(K - 1, pp)
 
-        step = 1.0
-        for _ in range(31):
-            delta = _eta_from_theta(Z, step * direction, cats, K)
-            if _loglik_gain(P, delta, data.y) >= -_LL_SLACK:
-                break
-            step *= 0.5
-        else:
-            break  # no acceptable step; likelihood is flat to rounding
-        theta = theta + step * direction
-        eta = _eta_from_theta(Z, theta, cats, K)
+        def trial(lam):
+            step = lam * direction
+            delta = linear_predictors(step, 0.0, Z, reference)
+            return _loglik_gain(P, delta, data.y), step
+
+        found = _halving_search(trial, _LL_SLACK, 30)
+        if found is None:
+            warnings.append(
+                f"line search found no acceptable step at iteration {iterations}")
+            break
+        theta = theta + found[1]
+        eta = linear_predictors(theta, 0.0, Z, reference)
         ll = dataset_log_likelihood(data, eta)
         trace.append(ll)
 
-    if info is None:  # pragma: no cover - max_iter >= 1 always enters loop
-        raise NumericalFailureError("no Newton iteration executed")
-
-    try:
-        vcov = np.linalg.inv(info)
-        vcov = 0.5 * (vcov + vcov.T)
-        se = standard_errors(vcov, (K - 1, pp))
-    except np.linalg.LinAlgError:
-        if converged:
-            raise NonIdentifiedError("information matrix not invertible") from None
-        vcov = np.full(((K - 1) * pp, (K - 1) * pp), np.nan)
-        se = np.full((K - 1, pp), np.nan)
+    vcov = _covariance(info)
+    if converged and np.isnan(vcov).all():
+        raise NonIdentifiedError("information matrix not invertible")
+    se = standard_errors(vcov, (K - 1, pp))
 
     return ParametricFitResult(
         coefficients=theta, std_errors=se, vcov=vcov, loglik=ll,
         loglik_trace=trace, iterations=iterations, converged=converged,
         reference=reference, categories=cats, term_names=list(term_names),
         includes_smooth=include_smooth, score_max=score_max, n_obs=data.n,
+        warnings=warnings,
     )
 
 
@@ -222,9 +245,8 @@ def standard_errors(vcov: np.ndarray, layout: tuple) -> np.ndarray:
 def fitted_probabilities(result: ParametricFitResult, data: Dataset) -> np.ndarray:
     """(n, K) matrix of fitted category probabilities."""
     Z = design_matrix(data, result.includes_smooth)
-    eta = _eta_from_theta(Z, result.coefficients, result.categories,
-                          data.n_categories)
-    return softmax_probabilities(eta)
+    return softmax_probabilities(
+        linear_predictors(result.coefficients, 0.0, Z, result.reference))
 
 
 def coefficient_log_likelihood(data: Dataset, coefficients: np.ndarray,
@@ -234,8 +256,5 @@ def coefficient_log_likelihood(data: Dataset, coefficients: np.ndarray,
     Needed by the Small-Hsiao test, which evaluates one sample's
     likelihood at coefficients blended from another sample's fit.
     """
-    K = data.n_categories
-    cats = nonreference_categories(K, reference)
-    Z = design_matrix(data)
-    eta = _eta_from_theta(Z, np.asarray(coefficients, dtype=np.float64), cats, K)
+    eta = linear_predictors(coefficients, 0.0, design_matrix(data), reference)
     return dataset_log_likelihood(data, eta)

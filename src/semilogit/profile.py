@@ -137,14 +137,14 @@ from .exceptions import (
     ConfigError,
     InvalidPredictorError,
     NoLocalDataError,
-    NonIdentifiedError,
     NumericalFailureError,
     ShapeError,
 )
 # kernel_weights is not called here, but perfbench's tracer wraps it as an
 # attribute of this module (its kernels.kernel_weights.* metrics).
 from .kernels import KernelConfig, kernel_weights  # noqa: F401
-from .parametric import fit_parametric
+from .parametric import (_covariance, _halving_search, _newton_direction, fit_parametric,
+                         standard_errors)
 
 # Doubles per temporary block of the O(n^2) passes (512 kB), and chunks of
 # blocks per pass.  A weight block and the two logistic buffers stay in
@@ -630,13 +630,7 @@ def _score_information(data, state, J):
 def _newton_step(score, info):
     """Newton direction H^{-1} S.  Components are clipped at 10 so a badly
     scaled early step cannot fling the iterate into saturation."""
-    try:
-        direction = np.linalg.solve(info, score)
-    except np.linalg.LinAlgError:
-        raise NonIdentifiedError(
-            "singular profile information "
-            f"(cond={np.linalg.cond(info):.3e})") from None
-    return np.clip(direction, -10.0, 10.0)
+    return np.clip(_newton_direction(score, info), -10.0, 10.0)
 
 
 def _category_pass(data, state, row, wcache, J, Wy=None):
@@ -931,23 +925,23 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
         m_dir = J @ direction     # dm along the step: the predictor
         step = direction.reshape(state.beta.shape)
         beta_prev, m_prev = state.beta, state.m
-        lam = 1.0
-        for _ in range(61):
+
+        def trial(lam):
             state.beta = beta_prev + lam * step
             state.m = m_prev + lam * m_dir
             ll_new, J_new = solves.curve(state, J)
-            if ll_new >= ll - 1e-9:
-                break
-            lam *= 0.5
-        else:
+            return ll_new - ll, (ll_new, J_new)
+
+        found = _halving_search(trial, 1e-9, 60)
+        if found is None:
             # back where this iteration's Jacobian solve was made
             state.beta, state.m = beta_prev, m_prev
-            warnings.append(
-                f"trace guard exhausted halvings at iteration {iterations}")
+            warnings.append(f"trace guard exhausted halvings at iteration {iterations}")
             break
+        lam, (ll, J) = found
         moved = max(float(np.abs(state.beta - beta_prev).max(initial=0.0)),
                     float(np.abs(state.m - m_prev).max()))
-        ll, J, tight, direction = ll_new, J_new, False, None
+        tight, direction = False, None
         trace.append(ll)
         if lam == 1.0 and moved < tol:
             # the certificate: the exact Newton step at the new state
@@ -961,6 +955,7 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     if not tight:
         J = solves.jacobian(state, J, _JACOBIAN_TOL)
     _, info = _score_information(data, state, J)
+    beta_se = standard_errors(_covariance(info), state.beta.shape)
     if not converged:
         warnings.append(f"no convergence after {iterations} iterations")
     if solves.capped:
@@ -974,22 +969,12 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
             f"{solves.worst_cap_fraction:.1%} of points in some sweep")
 
     return SemiparametricFitResult(
-        beta=state.beta.copy(), beta_se=_standard_errors(info, state.beta.shape),
+        beta=state.beta.copy(), beta_se=beta_se,
         smooth=state, loglik=ll, loglik_trace=trace, converged=converged,
         iterations=iterations, kernel=kernel, reference=reference,
         categories=cats, warnings=warnings,
         options={"tol": tol, "max_iter": max_iter},
     )
-
-
-def _standard_errors(info, shape):
-    """Profile-information SEs sqrt(diag(H^{-1})) in beta's layout; NaN
-    when H is singular."""
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        return np.full(shape, np.nan)
-    return np.sqrt(np.clip(np.diagonal(cov), 0.0, None)).reshape(shape)
 
 
 def profile_scores(data: Dataset, state: SmoothState,

@@ -4,6 +4,7 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semilogit.cli import main
@@ -54,6 +55,31 @@ class TestFitCommand:
         for f in sorted((tmp_path / "a").iterdir()):
             if f.name != "manifest.txt":
                 assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes(), f.name
+
+    @pytest.mark.parametrize("model", ["parametric", "semiparametric"])
+    def test_max_iter_0_exits_3_with_its_artifacts(self, tmp_path, model):
+        cfg = write_config(tmp_path / "c.json", model=model, fit={"max_iter": 0})
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        manifest = (tmp_path / "o" / "manifest.txt").read_text()
+        assert "fit.converged = False" in manifest
+        assert "fit.iterations = 0" in manifest
+        trace = (tmp_path / "o" / "loglik_trace.csv").read_text().splitlines()
+        assert len(trace) == 2          # header and the start's log-likelihood
+        table = (tmp_path / "o" / "coefficients.csv").read_text().splitlines()
+        assert len(table) > 1
+
+    def test_parametric_line_search_failure_lands_in_the_manifest(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", model="parametric", simulate={
+            "n_categories": 2, "n": 200, "seed": 7, "beta": [[0.0]],
+            "smooth": [{"kind": "zero"}],
+            "x_laws": [{"kind": "normal", "sd": 1e160}],
+            "t_laws": [{"kind": "uniform", "lo": -1, "hi": 1}]})
+        with np.errstate(all="ignore"):   # the information overflows
+            rc = main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        manifest = (tmp_path / "o" / "manifest.txt").read_text()
+        assert ("fit.warning.1 = line search found no acceptable step at "
+                "iteration 1") in manifest
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["fit", "--config", str(tmp_path / "nope.json")])

@@ -17,11 +17,11 @@ from semilogit import (
     small_hsiao,
     standard_errors,
 )
-from semilogit import iia
-from semilogit.core import dataset_log_likelihood, softmax_probabilities
+from semilogit import iia, profile
+from semilogit.core import dataset_log_likelihood, linear_predictors, softmax_probabilities
 from semilogit.parametric import (
-    _eta_from_theta,
     _loglik_gain,
+    _score_and_information,
     design_matrix,
 )
 from conftest import make_dgp
@@ -120,9 +120,9 @@ class TestFitProperties:
         data = simulate(make_dgp(K=3, n=300, seed=6))
         fit = fit_parametric(data)
         Z = design_matrix(data)
-        eta = _eta_from_theta(Z, fit.coefficients, fit.categories, 3)
+        eta = linear_predictors(fit.coefficients, 0.0, Z, fit.reference)
         step = 0.3 * np.ones_like(fit.coefficients)
-        delta = _eta_from_theta(Z, step, fit.categories, 3)
+        delta = linear_predictors(step, 0.0, Z, fit.reference)
         gain = _loglik_gain(softmax_probabilities(eta), delta, data.y)
         expected = (dataset_log_likelihood(data, eta + delta)
                     - dataset_log_likelihood(data, eta))
@@ -162,6 +162,72 @@ class TestFitProperties:
         eigs = np.linalg.eigvalsh(fit.vcov)
         assert eigs.min() > -1e-8
         assert np.all(fit.std_errors > 0)
+
+
+class TestWhereTheLoopStops:
+    """Every stop reports the state it returns: the score, the SEs and,
+    when the line search gives up, a warning."""
+
+    def test_max_iter_0_returns_the_start(self):
+        data = simulate(make_dgp(K=3, n=300, seed=2))
+        fit = fit_parametric(data, max_iter=0)
+        assert not fit.converged and fit.iterations == 0
+        assert np.array_equal(fit.coefficients, np.zeros((2, 4)))
+        assert len(fit.loglik_trace) == 1
+        assert np.all(np.isfinite(fit.std_errors)) and np.all(fit.std_errors > 0)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_score_and_standard_errors_are_at_the_returned_coefficients(
+            self, max_iter):
+        data = simulate(make_dgp(K=3, n=300, seed=2))
+        fit = fit_parametric(data, max_iter=max_iter, tol=1e-12)
+        assert not fit.converged and fit.iterations == max_iter
+        assert len(fit.loglik_trace) == max_iter + 1
+        Z = design_matrix(data)
+        eta = linear_predictors(fit.coefficients, 0.0, Z, fit.reference)
+        P = softmax_probabilities(eta)[:, fit.categories - 1]
+        Y1h = (data.y[:, None] == fit.categories).astype(float)
+        score, info = _score_and_information(Z, Y1h, P)
+        assert fit.score_max == np.abs(score).max()
+        se = np.sqrt(np.diag(np.linalg.inv(info))).reshape(fit.coefficients.shape)
+        np.testing.assert_allclose(fit.std_errors, se, rtol=1e-12)
+
+    def test_line_search_failure_is_reported(self):
+        # x of order 1e160: the information overflows, and every trial
+        # step's gain is NaN, so no halving is acceptable
+        rng = np.random.default_rng(0)
+        data = Dataset(y=rng.integers(1, 3, 100), x=rng.normal(size=(100, 1)) * 1e160,
+                       t=np.zeros((100, 0)), n_categories=2)
+        with np.errstate(all="ignore"):
+            fit = fit_parametric(data)
+        assert not fit.converged and fit.iterations == 1
+        assert fit.warnings == ["line search found no acceptable step at iteration 1"]
+        assert np.array_equal(fit.coefficients, np.zeros((1, 2)))
+        assert len(fit.loglik_trace) == 1
+
+    def test_converged_fit_has_no_warning(self):
+        fit = fit_parametric(simulate(make_dgp(K=3, n=300, seed=2)))
+        assert fit.converged and fit.warnings == []
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_block_score_matches_the_profile_score_with_no_smooth(K):
+    """The parametric block-form score and information are the profile's
+    E_s form with J = 0 on a dataset whose x is the design matrix."""
+    data = simulate(make_dgp(K=K, n=500, seed=K))
+    fit = fit_parametric(data)
+    theta = fit.coefficients + 0.2      # away from the optimum
+    Z = design_matrix(data)
+    P = softmax_probabilities(linear_predictors(theta, 0.0, Z, fit.reference))
+    Y1h = (data.y[:, None] == fit.categories).astype(float)
+    score, info = _score_and_information(Z, Y1h, P[:, fit.categories - 1])
+    as_x = Dataset(y=data.y, x=Z, t=np.zeros((data.n, 0)), n_categories=K)
+    state = profile.SmoothState(theta, np.zeros((K - 1, data.n)), fit.reference)
+    J = np.zeros((K - 1, data.n, theta.size))
+    profile_score, profile_info = profile._score_information(as_x, state, J)
+    for block, E_s in ((score, profile_score), (info, profile_info)):
+        np.testing.assert_allclose(E_s, block, rtol=0,
+                                   atol=1e-12 * np.abs(block).max())
 
 
 class TestStandardErrors:

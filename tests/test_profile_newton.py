@@ -15,7 +15,8 @@ from semilogit import (
     profile_loglik,
     profile_scores,
 )
-from semilogit import profile
+from semilogit import profile, standard_errors
+from semilogit.parametric import _covariance
 from conftest import MISMATCHES, integer_t, linear_q2_dgp, mismatched, sine_dgp
 
 
@@ -270,7 +271,7 @@ class TestForcingTerms:
         assert np.array_equal(last["beta"], fit.beta)
         _, info = profile._score_information(data, fit.smooth, J)
         assert np.array_equal(fit.beta_se,
-                              profile._standard_errors(info, fit.beta.shape))
+                              standard_errors(_covariance(info), fit.beta.shape))
         # against a cold solve well past _JACOBIAN_TOL at the returned state
         exact = exact_jacobian(data, kernel, fit.smooth, 1e-13)
         np.testing.assert_allclose(J, exact, rtol=0, atol=1e-10)
@@ -411,4 +412,4 @@ class TestCurveToleranceNoise:
         np.testing.assert_allclose(J, exact, rtol=0, atol=1e-10)
         _, info = profile._score_information(data, fit.smooth, J)
         assert np.array_equal(fit.beta_se,
-                              profile._standard_errors(info, fit.beta.shape))
+                              standard_errors(_covariance(info), fit.beta.shape))
