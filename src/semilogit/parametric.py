@@ -129,7 +129,10 @@ def _halving_search(trial, slack, halvings):
 
 
 def _covariance(info):
-    """H^{-1}, symmetrised; all NaN when the information H is singular."""
+    """H^{-1}, symmetrised; all NaN when the information H is singular or
+    not finite (an overflowed H would give SEs of exactly 0)."""
+    if not np.isfinite(info).all():
+        return np.full(info.shape, np.nan)
     try:
         vcov = np.linalg.inv(info)
     except np.linalg.LinAlgError:

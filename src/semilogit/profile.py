@@ -94,8 +94,8 @@ the surface solve runs plain row blocks through the same logistic.  Its
 g is fixed, so each point's solve is scalar Newton, converging
 quadratically, and it stops on a proven bound on the remaining error
 rather than on a pass whose step is already negligible.  With one smooth
-covariate it starts from the fitted m interpolated along t, close enough
-that a block near the fitted curve usually stops after one step; with
+covariate it starts from a parabola through the fitted m along t, close
+enough that a block near the fitted curve stops after one step; with
 more it starts from the nearest observation point's m and usually takes
 two.
 
@@ -1008,6 +1008,23 @@ def _bracketed_step(mu, newton, step, bracket):
     return nxt, (lo, hi)
 
 
+def _interpolated(nodes, values, x):
+    """The rows of ``values``, sampled at the sorted distinct ``nodes``, at
+    the points ``x`` held within the nodes' range: the parabola through
+    the three consecutive nodes whose middle one is nearest, or the line
+    through two neighbours when there are fewer than three nodes."""
+    if nodes.size < 3:
+        return np.array([np.interp(x, nodes, v) for v in values])
+    x = np.clip(x, nodes[0], nodes[-1])
+    i = np.clip(np.searchsorted(nodes, x), 1, nodes.size - 1)
+    i -= x - nodes[i - 1] < nodes[i] - x
+    j = np.clip(i - 1, 0, nodes.size - 3)
+    a, b, c = nodes[j], nodes[j + 1], nodes[j + 2]
+    return (values[:, j] * ((x - b) * (x - c) / ((a - b) * (a - c)))
+            + values[:, j + 1] * ((x - a) * (x - c) / ((b - a) * (b - c)))
+            + values[:, j + 2] * ((x - a) * (x - b) / ((c - a) * (c - b))))
+
+
 def _solve_m_at_points(data, state, kernel, Tq):
     """Solve the local first-order conditions at arbitrary points, (K-1, G):
     the surfaces' values, and the coarse nodes that seed a K = 2 fit.
@@ -1015,11 +1032,13 @@ def _solve_m_at_points(data, state, kernel, Tq):
     Each block of query points gets its kernel weights once.  On it every
     category's smooth takes local Newton steps clipped at ``STEP_CAP``, for
     at most ``_BURNIN_SWEEPS`` steps, from a seed.  With one smooth
-    covariate (q = 1) the seed is the fitted m interpolated linearly along
-    t, held at the end values outside the observed range: the fitted m
-    samples the same smooth root function the query solve evaluates, so the
-    seed is off by about 1/8 D^2 max|m''| for observation spacing D, and
-    near the fitted curve one step usually proves the bound below.  With
+    covariate (q = 1) the seed is the fitted m interpolated along t by
+    :func:`_interpolated` at the sorted distinct t values (the first
+    observation of each tie), held at the end values outside the observed
+    range: the fitted m samples the same smooth root function the query
+    solve evaluates, so the parabola is off by at most about
+    D^3 max|m'''| / 16 for observation spacing D, third order, and near
+    the fitted curve one step proves the bound below at every K.  With
     q >= 2 the seed is the nearest observation point's value, about
     |grad m| D / 2 off, and a block usually takes two steps.  Each point
     solves f(mu) = sum_j w_j (y_j - sigma(g_j + mu)) = 0, where f' = -sum w
@@ -1047,7 +1066,9 @@ def _solve_m_at_points(data, state, kernel, Tq):
     cats = state.categories()
     if data.q == 1:
         order = np.argsort(data.t[:, 0], kind="stable")
-        t_sorted, m_sorted = data.t[order, 0], state.m[:, order]
+        t_sorted = data.t[order, 0]
+        first = np.diff(t_sorted, prepend=-np.inf) > 0.0    # first of each tie
+        seeds = _interpolated(t_sorted[first], state.m[:, order[first]], Tq[:, 0])
     logits = [_Logistic(_fixed_logit_parts(data, state, row)[0])
               for row in range(len(cats))]
     Y = (data.y[:, None] == cats) * 1.0     # y_k, a column per category
@@ -1066,9 +1087,8 @@ def _solve_m_at_points(data, state, kernel, Tq):
             raise NoLocalDataError("all kernel weights vanished at query point "
                                    f"{start + int(empty[0])}")
         Wy = np.dot(W, Y)      # W y_k, fixed across the passes
-        for row in range(len(cats)):
-            mub = np.interp(Tq[start:stop, 0], t_sorted, m_sorted[row]) \
-                if data.q == 1 else state.m[row][nearest]
+        block_seeds = seeds[:, start:stop] if data.q == 1 else state.m[:, nearest]
+        for row, mub in enumerate(block_seeds):
             bracket = None
             for _ in range(_BURNIN_SWEEPS):
                 newton = _local_steps(W, Wy[:, row], logits[row], mub)
@@ -1091,10 +1111,11 @@ def predict_probabilities(fit: SemiparametricFitResult, data: Dataset,
     """Category probabilities at a new covariate point.
 
     Each m_k(t_new) is re-solved from the fitted state (coefficients
-    fixed), seeded by the fitted m interpolated along t when there is one
-    smooth covariate and by the nearest observation point's value
-    otherwise; the probabilities then follow from the softmax of the new
-    predictors.
+    fixed), seeded by the parabola through the fitted m at three
+    neighbouring distinct t values when there is one smooth covariate (an
+    error of third order in their spacing) and by the nearest observation
+    point's value otherwise; the probabilities then follow from the
+    softmax of the new predictors.
     """
     x_new = np.atleast_1d(np.asarray(x_new, dtype=np.float64))
     t_new = np.atleast_1d(np.asarray(t_new, dtype=np.float64))

@@ -110,6 +110,22 @@ def linear_q2_dgp(K, n, seed):
         t_laws=({"kind": "uniform", "lo": -2.0, "hi": 2.0}, {"kind": "normal"})))
 
 
+def q2_draw(K, n, seed):
+    """K categories with two smooth covariates t ~ (U(-2, 2), N(0, 1)), the
+    first K - 1 of a ridge interaction, a sine in t1 and two planes as
+    smooths, and beta rows the first K - 1 of (1, -0.5, 0.3, 0.6).  At
+    K = 5 it has the shape of the paper's application: about five
+    parties, two smooth covariates."""
+    smooth = ({"kind": "ridge-interaction", "a": 1.0},
+              {"kind": "sine", "amplitude": 1.0, "frequency": 1.0},
+              {"kind": "linear", "slopes": [0.5, -0.3]},
+              {"kind": "linear", "slopes": [-0.3, 0.2]})[:K - 1]
+    return simulate(DGPSpec(
+        n_categories=K, n=n, seed=seed, beta=[[1.0], [-0.5], [0.3], [0.6]][:K - 1],
+        smooth=smooth, x_laws=({"kind": "normal"},),
+        t_laws=({"kind": "uniform", "lo": -2.0, "hi": 2.0}, {"kind": "normal"})))
+
+
 @pytest.fixture
 def small_binary_data():
     spec = DGPSpec(

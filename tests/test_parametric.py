@@ -205,6 +205,16 @@ class TestWhereTheLoopStops:
         assert np.array_equal(fit.coefficients, np.zeros((1, 2)))
         assert len(fit.loglik_trace) == 1
 
+    def test_overflowed_information_gives_nan_standard_errors(self):
+        # the same draw: an SE of exactly 0 would claim perfect precision
+        rng = np.random.default_rng(0)
+        data = Dataset(y=rng.integers(1, 3, 100), x=rng.normal(size=(100, 1)) * 1e160,
+                       t=np.zeros((100, 0)), n_categories=2)
+        with np.errstate(all="ignore"):
+            fit = fit_parametric(data)
+        assert fit.std_errors.shape == (1, 2)
+        assert np.isnan(fit.std_errors).all() and np.isnan(fit.vcov).all()
+
     def test_converged_fit_has_no_warning(self):
         fit = fit_parametric(simulate(make_dgp(K=3, n=300, seed=2)))
         assert fit.converged and fit.warnings == []

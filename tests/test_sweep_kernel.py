@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from semilogit import (
+    Dataset,
     InvalidPredictorError,
     KernelConfig,
     NoLocalDataError,
@@ -243,6 +244,22 @@ class TestSolveAtPoints:
                 assert abs(score / curv) < 1e-9
 
 
+def assert_solved_within_the_bound(monkeypatch, data, state, kern, Tq):
+    """The query-point solve at ``Tq`` is finite, within 1e-10 of the same
+    solve continued until its steps are below 1e-14, and meets the local
+    condition of every point."""
+    mu = _solve_m_at_points(data, state, kern, Tq)
+    assert np.all(np.isfinite(mu))
+    monkeypatch.setattr(profile, "_POINT_TOL", 1e-28)
+    continued = _solve_m_at_points(data, state, kern, Tq)
+    np.testing.assert_allclose(mu, continued, rtol=0, atol=1e-10)
+    for row, k in enumerate(state.categories()):
+        for j, tq in enumerate(Tq):
+            score, curv = local_smoothed_score(data, int(k), tq, mu[row, j],
+                                               state, kern)
+            assert abs(score / curv) < 1e-9
+
+
 @pytest.fixture
 def point_steps(monkeypatch):
     """Records the largest local Newton step, before the cap, of every
@@ -257,6 +274,32 @@ def point_steps(monkeypatch):
 
     monkeypatch.setattr(profile, "_local_steps", recorded)
     return steps
+
+
+class TestInterpolatedSeed:
+    nodes = np.array([-1.0, -0.2, 0.1, 0.9, 2.0])
+
+    def test_a_parabola_is_reproduced_and_held_outside_the_nodes(self):
+        values = np.vstack([1.0 - 2.0 * self.nodes + 0.5 * self.nodes ** 2,
+                            3.0 * self.nodes])
+        x = np.array([-1.0, -0.6, 0.0, 0.5, 1.7, 2.0])
+        np.testing.assert_allclose(profile._interpolated(self.nodes, values, x),
+                                   [1.0 - 2.0 * x + 0.5 * x ** 2, 3.0 * x],
+                                   rtol=0, atol=1e-14)
+        ends = profile._interpolated(self.nodes, values, np.array([-5.0, 7.0]))
+        assert np.array_equal(ends, values[:, [0, -1]])
+
+    def test_nodes_give_their_own_values(self):
+        values = np.random.default_rng(1).normal(size=(2, 5))
+        assert np.array_equal(profile._interpolated(self.nodes, values, self.nodes),
+                              values)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_fewer_than_three_nodes_are_linear(self, count):
+        nodes, values = self.nodes[:count], np.array([[0.5, -1.5][:count]])
+        x = np.array([-3.0, -0.7, -0.2, 1.0])
+        assert np.array_equal(profile._interpolated(nodes, values, x),
+                              np.interp(x, nodes, values[0])[None, :])
 
 
 class TestPointSolveStop:
@@ -317,16 +360,18 @@ class TestPointSolveStop:
         assert len(point_steps) == passes
         assert point_steps[-1] > profile._POINT_TOL
 
-    def test_k2_surface_takes_one_pass_per_block(self, point_steps):
-        # the shape of perfbench's k2 surfaces: a fine 1-D grid over a
-        # dense draw, seeded from the interpolated fitted curve
-        data = sine_dgp(2, 2000, 1)
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_surface_takes_one_pass_per_block(self, point_steps, K):
+        # the grid of perfbench's surfaces over a k3-curve-sized draw: the
+        # quadratic seed is within the first step's proof of every point
+        # in a block, so each block and category takes one Newton step
+        data = sine_dgp(K, 800, 1)
         kern = bandwidth_from_scale(data.t, 0.5)
         fit = fit_semiparametric(data, kern)
-        point_steps.clear()     # the fit's burn-in seed solves at points too
+        point_steps.clear()
         grid = np.linspace(-1.9, 1.9, 400)[:, None]
         _solve_m_at_points(data, fit.smooth, kern, grid)
-        assert len(point_steps) == math.ceil(400 / profile._block_rows(data.n))
+        assert len(point_steps) == (K - 1) * math.ceil(400 / profile._block_rows(800))
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_tied_and_out_of_range_points(self, monkeypatch, K):
@@ -337,16 +382,34 @@ class TestPointSolveStop:
         fit = fit_semiparametric(data, kern)
         Tq = np.array([lo, lo + 7.0, hi, lo + 3.5, hi - 0.25,
                        lo - 3.0, hi + 4.5])[:, None]
-        mu = _solve_m_at_points(data, fit.smooth, kern, Tq)
-        assert np.all(np.isfinite(mu))
-        monkeypatch.setattr(profile, "_POINT_TOL", 1e-28)
-        continued = _solve_m_at_points(data, fit.smooth, kern, Tq)
-        np.testing.assert_allclose(mu, continued, rtol=0, atol=1e-10)
-        for row, k in enumerate(fit.smooth.categories()):
-            for j, tq in enumerate(Tq):
-                score, curv = local_smoothed_score(data, int(k), tq, mu[row, j],
-                                                   fit.smooth, kern)
-                assert abs(score / curv) < 1e-9
+        assert_solved_within_the_bound(monkeypatch, data, fit.smooth, kern, Tq)
+
+    def test_near_duplicate_points(self, monkeypatch, point_steps):
+        # every other sorted t 1e-13 above its neighbour: the parabola
+        # through such a pair and a third point amplifies the fitted m's
+        # rounding, and the solve still meets its bound in the parent's
+        # two steps per block and category
+        data = sine_dgp(3, 800, 2)
+        t = data.t[:, 0].copy()
+        order = np.argsort(t, kind="stable")
+        t[order[1::2]] = t[order[0::2]] + 1e-13
+        data = Dataset(y=data.y, x=data.x, t=t[:, None], n_categories=3)
+        kern = bandwidth_from_scale(data.t, 0.5)
+        fit = fit_semiparametric(data, kern)
+        point_steps.clear()
+        grid = np.linspace(-1.9, 1.9, 400)[:, None]
+        _solve_m_at_points(data, fit.smooth, kern, grid)
+        assert len(point_steps) <= 2 * (3 - 1) * math.ceil(400 / profile._block_rows(800))
+        assert_solved_within_the_bound(monkeypatch, data, fit.smooth, kern, grid)
+
+    def test_two_distinct_points(self, monkeypatch):
+        # too few nodes for a parabola: the seed is the line through them
+        data = sine_dgp(2, 300, 4)
+        data = Dataset(y=data.y, x=data.x, t=np.sign(data.t), n_categories=2)
+        kern = bandwidth_from_scale(data.t, 0.5)
+        fit = fit_semiparametric(data, kern)
+        Tq = np.array([-2.0, -1.0, -0.3, 0.0, 0.8, 1.0, 3.0])[:, None]
+        assert_solved_within_the_bound(monkeypatch, data, fit.smooth, kern, Tq)
 
     @pytest.mark.parametrize("q", [1, 2])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
