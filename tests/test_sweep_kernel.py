@@ -387,8 +387,8 @@ class TestPointSolveStop:
     def test_near_duplicate_points(self, monkeypatch, point_steps):
         # every other sorted t 1e-13 above its neighbour: the parabola
         # through such a pair and a third point amplifies the fitted m's
-        # rounding, and the solve still meets its bound in the parent's
-        # two steps per block and category
+        # rounding, and the solve still meets its bound within the two
+        # steps per block and category that a linear seed takes here
         data = sine_dgp(3, 800, 2)
         t = data.t[:, 0].copy()
         order = np.argsort(t, kind="stable")
