@@ -194,7 +194,9 @@ def fit_parametric(data: Dataset, *, reference: int | None = None,
     # so the last one is taken at the returned coefficients.
     for _ in range(max_iter + 1):
         P = softmax_probabilities(eta)
-        g, info = _score_and_information(Z, Y1h, P[:, cats - 1])
+        # an overflowed H gives no acceptable step and NaN SEs (_covariance)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, info = _score_and_information(Z, Y1h, P[:, cats - 1])
         score_max = float(np.abs(g).max())
         converged = score_max < tol
         if converged or iterations == max_iter:

@@ -57,10 +57,11 @@ on m, so the local conditions are n scalar roots of the function of t
 that the surface solve below evaluates.  With q = 1 and no given start,
 the fit solves them exactly at coarse nodes, the first observation of
 each ``_SEED_BIN``-bandwidth bin along t and the largest t, and
-interpolates to every point (nested iteration, Brandt 1977): the burn-in
-starts about 1/8 D^2 max|m''| off the curve, node spacing D, and takes
-two sweeps instead of five.  At K >= 3 g depends on the other m, so a
-node solve would be one Jacobi step.
+interpolates to every point through the six nodes around it (nested
+iteration, Brandt 1977): the burn-in starts about D^6 max|m^(6)| / 200
+off the curve, node spacing D, below the curve tolerance, and takes one
+sweep instead of five.  At K >= 3 g depends on the other m, so a node
+solve would be one Jacobi step.
 
 Identifiability: the reference category's beta row and m row are
 structurally zero and never stored.
@@ -69,7 +70,8 @@ The O(n^2) pass: a local Newton step of m_k(t_i) needs the kernel sums
 sum_j w_ij y_j, sum_j w_ij p_ij and sum_j w_ij p_ij (1 - p_ij), where
 p_ij = sigmoid(g_j + mu_i) for the fixed offsets g of
 :func:`_fixed_logit_parts`; the Jacobian and the surface solve need the
-same sums.  A fit makes W y_k once, in one pass for every category.  The
+same sums.  A fit forms W y_k of every category once, in the block
+products of its first sweep, which computes every weight anyway.  The
 logistic factors: with c_ij = e^{-mu_i} e^{-g_j}, p = (1 + c) p^2 and
 p (1 - p) = c p^2, so the block T = W / (1 + c)^2, made in four passes,
 gives every other sum in one product with [1 | e^-g | e^-g r], and a
@@ -119,7 +121,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -214,11 +215,20 @@ _CURVE_TOL = 1e-9
 # taken from the last Newton step (see _solve_m_at_points).
 _POINT_TOL = 1e-10
 # Bin width, in bandwidths, of the coarse nodes that seed a K = 2, q = 1
-# burn-in (see fit_semiparametric).  Burn-in sweeps on perfbench's
-# k2-uncached draw (seed 5, n = 6100) by bin width:
-#     h/8  3    h/16  3    h/32  2    h/64  2
-# Above n/4 nodes the seed is skipped.  Fit time with it against without
-# on sine_dgp(2, n, 1..8) of tests/conftest.py, scale 0.5:
+# burn-in (see fit_semiparametric).  Max |first sweep step| over round 0
+# of perfbench's k2-cached and k2-uncached draws (seeds 4242, 5, 23; n =
+# 5000 and 6100), then the burn-in sweeps on k2-uncached seed 5, by the
+# interpolant's points and the bin width:
+#             h/8          h/16         h/32          h/64
+#     2     5.2e-4  3    1.4e-4  3    4.5e-5  2     1.8e-5  2
+#     4     2.5e-6  2    1.6e-7  2    1.2e-8  2     1.2e-9  1
+#     5     2.6e-7  2    8.5e-9  2    2.7e-10 1     1.9e-11 1
+#     6     3.6e-8  2    5.4e-10 1    1.2e-11 1     1.6e-11 1
+# About 57, 112, 223 and 446 nodes, solved in about 6, 10, 17 and 30 ms
+# on two threads.  Six points at h/32 stay 80 times below the curve
+# tolerance, at h/16 less than twice.  Above n/4 nodes the seed is skipped.
+# Fit time with the two-point seed against none on sine_dgp(2, n, 1..8)
+# of tests/conftest.py, scale 0.5:
 #     n 300 / 600 / 1000 / 1500, nodes/n 0.55 / 0.34 / 0.22 / 0.15:
 #     +4 / -7 / -11 / -21 %
 _SEED_BIN = 1.0 / 32
@@ -488,11 +498,6 @@ class _WeightCache:
         _for_each(chunk_sums, range(len(self.chunks)))
         return partials.sum(axis=0)
 
-    def dot(self, Y):
-        """W Y for an (n, r) Y, in one pass over the triangle."""
-        return self.sums(Y.shape[1], lambda W, s, e, down: (
-            np.dot(W.T, Y[s:e]) if down else np.dot(W, Y[s:])))
-
 
 class _Logistic:
     """Kernel sums of p = sigmoid(g + mu) between fixed offsets g of the
@@ -559,20 +564,27 @@ def _local_steps(W, Wy, logit, mu):
     return (Wy - wp) / wpq[:, 0]
 
 
-def _symmetric_sums(wcache, logit, mu, R):
+def _symmetric_sums(wcache, logit, mu, R, Y=None):
     """sum_j w_ij p_ij, shape (n,), and sum_j w_ij p_ij (1 - p_ij) [1 | R_j],
     shape (n, 1 + r), over the packed triangle, p_ij = sigmoid(g_j + mu_i).
     The first column is the local information; W y less the first sum is
     the local score.  The pass takes the factored or the sigmoid form as a
-    whole."""
+    whole.  Given an (n, c) ``Y``, each weight block is also multiplied by
+    Y, and W Y, shape (n, c), is returned third."""
     emu, C = logit.columns(mu, R)
+    width = C.shape[1]
 
     def block(W, s, e, down):
         pts = slice(e, None) if down else slice(s, e)
-        return logit.sums(W, mu[pts], None if emu is None else emu[pts],
-                          slice(s, e) if down else slice(s, None), C, down)
+        S = logit.sums(W, mu[pts], None if emu is None else emu[pts],
+                       slice(s, e) if down else slice(s, None), C, down)
+        if Y is None:
+            return S
+        return np.hstack([S, np.dot(W.T, Y[s:e]) if down else np.dot(W, Y[s:])])
 
-    return logit.totals(wcache.sums(C.shape[1], block), emu)
+    S = wcache.sums(width + (0 if Y is None else Y.shape[1]), block)
+    sums = logit.totals(S[:, :width], emu)
+    return sums if Y is None else (*sums, S[:, width:])
 
 
 def _fixed_logit_parts(data: Dataset, state: SmoothState, row: int) -> tuple:
@@ -643,25 +655,28 @@ def _category_pass(data, state, row, wcache, J, Wy=None):
     and J[row] is replaced by D_k^{-1} M_k rhs_k.  Given ``Wy`` = W y_k,
     y_k category k's response indicator, the pass is also a curve sweep:
     it returns the local Newton step of m_k at every observation point,
-    clipped at ``STEP_CAP``, and the number of clipped steps.  The products
-    are the same either way, so the sweep's J is the Jacobian pass's to
-    the last bit.
+    clipped at ``STEP_CAP``, and the number of clipped steps.  ``Wy`` may
+    instead be the (n, K-1) indicators of every category: the sweep then
+    forms W y_k of them all in its block products and returns them third,
+    a row per category.  The products are the same either way, so the
+    sweep's J is the Jacobian pass's to the last bit.
     """
     g, pi = _fixed_logit_parts(data, state, row)
     rhs = np.zeros(J.shape[1:])
     rhs[:, row * data.p:(row + 1) * data.p] = -data.x
     for pi_s, E_s in zip(pi.T, np.delete(_eta_gradients(data, J), row, axis=0)):
         rhs += pi_s[:, None] * E_s
-    wp, sums = _symmetric_sums(wcache, _Logistic(g), state.m[row], rhs)
+    Y = Wy if Wy is not None and Wy.ndim == 2 else None
+    wp, sums, *WY = _symmetric_sums(wcache, _Logistic(g), state.m[row], rhs, Y)
     info = sums[:, 0]
     if np.any(info <= 0.0):
         raise NumericalFailureError("nonnegative local curvature in a category pass")
     J[row] = sums[:, 1:] / sums[:, :1]
     if Wy is None:
         return None
-    step = (Wy - wp) / info
+    step = ((Wy if Y is None else WY[0][:, row]) - wp) / info
     cap_hits = int(np.count_nonzero(np.abs(step) > STEP_CAP))
-    return np.clip(step, -STEP_CAP, STEP_CAP), cap_hits
+    return (np.clip(step, -STEP_CAP, STEP_CAP), cap_hits, *(S.T for S in WY))
 
 
 def _anderson_mix(xs, gs):
@@ -732,7 +747,8 @@ class _Solves:
     cap-clipped local steps in any sweep, and the last max change of every
     solve stopped at ``_BURNIN_SWEEPS`` passes.  Both solves are
     Gauss-Seidel passes over the categories (:meth:`_passes`), as the
-    module docstring describes."""
+    module docstring describes.  The first sweep's first pass also forms
+    ``Wy``, W y_k of every category, so no pass is made for it alone."""
 
     def __init__(self, data, kernel, cats, tol):
         self.data, self.cats = data, cats
@@ -740,12 +756,9 @@ class _Solves:
         self.tol = min(tol, _CURVE_TOL)
         self.worst_cap_fraction = 0.0
         self.capped = []
-
-    @cached_property
-    def Wy(self):
-        """W y_k, a row per category of ``cats``: the fixed part of the
-        local scores, formed by the first curve solve."""
-        return self.wcache.dot((self.data.y[:, None] == self.cats) * 1.0).T
+        # W y_k, a row per category of ``cats``: the fixed part of the local
+        # scores, formed by the first sweep's first pass
+        self.Wy = None
 
     def curve(self, state, J=None):
         """Solve ``state.m`` onto the least favourable curve of
@@ -754,8 +767,9 @@ class _Solves:
 
         The solve stops when a pass moves m by less than the curve
         tolerance and leaves that last plain pass in ``state.m``.  Each
-        sweep is a :func:`_category_pass` given row k of ``Wy``, so its
-        Jacobian pass carries a running dm/dbeta from ``J`` (zeros when
+        sweep is a :func:`_category_pass` given row k of ``Wy`` (the
+        solves' first, given the response indicators, forms ``Wy``), so
+        its Jacobian pass carries a running dm/dbeta from ``J`` (zeros when
         None).  For one category the closing sweep's J is exact at that
         sweep's input m, which lies within the tolerance of the returned m.
         """
@@ -765,8 +779,13 @@ class _Solves:
         def gs_pass(x):
             state.m = x.reshape(shape).copy()
             hits = 0
-            for row, wy in enumerate(self.Wy):
-                step, row_hits = _category_pass(data, state, row, self.wcache, J, wy)
+            for row in range(shape[0]):
+                step, row_hits, *formed = _category_pass(
+                    data, state, row, self.wcache, J,
+                    (data.y[:, None] == self.cats) * 1.0 if self.Wy is None
+                    else self.Wy[row])
+                if formed:
+                    self.Wy = formed[0]
                 state.m[row] += step
                 hits += row_hits
             self.worst_cap_fraction = max(self.worst_cap_fraction, hits / state.m.size)
@@ -872,7 +891,8 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     computes it alone).  ``start`` replaces the parametric start, and its
     reference is the fit's.  Without it, a K = 2 fit with one smooth
     covariate starts its first solve from the curve solved at coarse
-    nodes (module docstring), unless they number more than n/4.  Local
+    nodes and interpolated through six of them (module docstring), unless
+    they number more than n/4; that solve then takes one sweep.  Local
     steps are clipped at ``STEP_CAP``, with at most ``_BURNIN_SWEEPS``
     passes per solve.
 
@@ -894,12 +914,13 @@ def fit_semiparametric(data: Dataset, kernel: KernelConfig, *,
     if start is None and len(cats) == 1 and data.q == 1:
         # nested iteration: the curve solved exactly at coarse nodes, the
         # first observation of each bin and the last, seeds every point
+        # through the six nodes around it
         t = np.sort(data.t[:, 0])
         bins = np.floor((t - t[0]) / (_SEED_BIN * kernel.bandwidths[0]))
         nodes = np.unique(np.append(t[np.diff(bins, prepend=-1.0) > 0.0], t[-1]))
         if nodes.size <= data.n / 4:
             mu = _solve_m_at_points(data, state, kernel, nodes[:, None])
-            state.m = np.interp(data.t[:, 0], nodes, mu[0])[None, :]
+            state.m = _interpolated(nodes, mu, data.t[:, 0], 6)
     solves = _Solves(data, kernel, cats, tol)
     warnings: list = []
 
@@ -1008,21 +1029,38 @@ def _bracketed_step(mu, newton, step, bracket):
     return nxt, (lo, hi)
 
 
-def _interpolated(nodes, values, x):
+def _interpolated(nodes, values, x, points=3):
     """The rows of ``values``, sampled at the sorted distinct ``nodes``, at
-    the points ``x`` held within the nodes' range: the parabola through
-    the three consecutive nodes whose middle one is nearest, or the line
-    through two neighbours when there are fewer than three nodes."""
-    if nodes.size < 3:
+    the points ``x`` held within the nodes' range: the polynomial through
+    ``points`` consecutive nodes (at most all), centred on the nearest node
+    for an odd count and on the interval holding x for an even one, or the
+    line through two neighbours below three nodes.  Past three points, an
+    x whose stencil magnifies the values' errors over 100 times (the sum
+    of its |Lagrange weights|: near-coincident nodes, a gap) takes the
+    three-point parabola, which only makes its seed less close."""
+    points = min(points, nodes.size)
+    if points < 3:
         return np.array([np.interp(x, nodes, v) for v in values])
     x = np.clip(x, nodes[0], nodes[-1])
     i = np.clip(np.searchsorted(nodes, x), 1, nodes.size - 1)
-    i -= x - nodes[i - 1] < nodes[i] - x
-    j = np.clip(i - 1, 0, nodes.size - 3)
-    a, b, c = nodes[j], nodes[j + 1], nodes[j + 2]
-    return (values[:, j] * ((x - b) * (x - c) / ((a - b) * (a - c)))
-            + values[:, j + 1] * ((x - a) * (x - c) / ((b - a) * (b - c)))
-            + values[:, j + 2] * ((x - a) * (x - b) / ((c - a) * (c - b))))
+    if points % 2:
+        i -= x - nodes[i - 1] < nodes[i] - x
+    j = np.clip(i - points // 2, 0, nodes.size - points)
+    X = [nodes[j + a] for a in range(points)]
+    D = [x - node for node in X]
+    weights = []
+    for a in range(points):
+        num, den = 1.0, 1.0
+        for b in range(points):
+            if b != a:
+                num = num * D[b]
+                den = den * (X[a] - X[b])
+        weights.append(num / den)
+    out = sum(values[:, j + a] * weight for a, weight in enumerate(weights))
+    if points > 3:
+        far = sum(np.abs(weight) for weight in weights) > 100.0
+        out[:, far] = _interpolated(nodes, values, x[far])
+    return out
 
 
 def _solve_m_at_points(data, state, kernel, Tq):

@@ -50,8 +50,11 @@ def cold_jacobian(data, state):
 
 def score_terms(data, cats, wcache):
     """W y_k of every category of ``cats``, one row each: the fixed part of
-    the local scores, made as a fit makes it."""
-    return wcache.dot((data.y[:, None] == cats) * 1.0).T
+    the local scores, in a pass of its own over the weight triangle (a fit
+    forms them in its first sweep)."""
+    Y = (data.y[:, None] == cats) * 1.0
+    return wcache.sums(Y.shape[1], lambda W, s, e, down: (
+        np.dot(W.T, Y[s:e]) if down else np.dot(W, Y[s:]))).T
 
 
 def cold_sweep(data, state, row, wcache, Wy=None):

@@ -2,13 +2,26 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from semilogit.cli import main
 from semilogit.dataio import fmt
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# A parametric K = 2 draw whose x is of order 1e160: the information
+# matrix overflows, no halving of the Newton step is acceptable, and the
+# fit ends unconverged with NaN standard errors.
+OVERFLOWING_SIMULATE = {
+    "n_categories": 2, "n": 200, "seed": 7, "beta": [[0.0]],
+    "smooth": [{"kind": "zero"}],
+    "x_laws": [{"kind": "normal", "sd": 1e160}],
+    "t_laws": [{"kind": "uniform", "lo": -1, "hi": 1}]}
 
 
 def write_config(path, extra=None, **top):
@@ -69,17 +82,26 @@ class TestFitCommand:
         assert len(table) > 1
 
     def test_parametric_line_search_failure_lands_in_the_manifest(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", model="parametric", simulate={
-            "n_categories": 2, "n": 200, "seed": 7, "beta": [[0.0]],
-            "smooth": [{"kind": "zero"}],
-            "x_laws": [{"kind": "normal", "sd": 1e160}],
-            "t_laws": [{"kind": "uniform", "lo": -1, "hi": 1}]})
-        with np.errstate(all="ignore"):   # the information overflows
-            rc = main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        # the information overflows; pytest turns any warning into an error
+        cfg = write_config(tmp_path / "c.json", model="parametric",
+                           simulate=OVERFLOWING_SIMULATE)
+        rc = main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 3
         manifest = (tmp_path / "o" / "manifest.txt").read_text()
         assert ("fit.warning.1 = line search found no acceptable step at "
                 "iteration 1") in manifest
+
+    def test_overflowed_parametric_fit_exits_3_under_w_error(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", model="parametric",
+                           simulate=dict(OVERFLOWING_SIMULATE, n=100))
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "semilogit.cli", "fit",
+             "--config", str(cfg), "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr[-2000:]
+        assert "Warning" not in proc.stderr
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["fit", "--config", str(tmp_path / "nope.json")])

@@ -8,7 +8,7 @@ from semilogit import (SmoothState, bandwidth_from_scale, dataset_log_likelihood
                        linear_predictors)
 from semilogit import profile
 from semilogit.profile import _Solves
-from conftest import cold_jacobian, random_state_dataset, sine_dgp
+from conftest import cold_jacobian, random_state_dataset, score_terms, sine_dgp
 
 TOL = 1e-9
 
@@ -21,6 +21,8 @@ def plain_curve(solves, state, J=None, max_sweeps=None):
         max_sweeps = profile._BURNIN_SWEEPS
     data = solves.data
     J = cold_jacobian(data, state) if J is None else J.copy()
+    if solves.Wy is None:
+        solves.Wy = score_terms(data, solves.cats, solves.wcache)
     for _ in range(max_sweeps):
         delta = 0.0
         hits_total = 0

@@ -6,6 +6,7 @@ import pytest
 
 from semilogit import (
     Dataset,
+    DGPSpec,
     KernelConfig,
     ShapeError,
     SmoothState,
@@ -14,6 +15,7 @@ from semilogit import (
     fit_semiparametric,
     profile_loglik,
     profile_scores,
+    simulate,
 )
 from semilogit import profile, standard_errors
 from semilogit.parametric import _covariance
@@ -76,16 +78,16 @@ class TestExactProfileScore:
     def test_scores_make_no_curve_sweep_and_no_score_term_pass(
             self, monkeypatch, pass_counts):
         # profile_scores solves J alone: W y_k, which only the curve
-        # sweeps read, is never formed
+        # sweeps form and read, is never formed
         data = sine_dgp(3, 200, seed=1)
-        products = []
-        dot = profile._WeightCache.dot
-        monkeypatch.setattr(profile._WeightCache, "dot",
-                            lambda cache, Y: products.append(Y) or dot(cache, Y))
+        given = []
+        sums = profile._symmetric_sums
+        monkeypatch.setattr(profile, "_symmetric_sums",
+                            lambda *args: given.append(args[4]) or sums(*args))
         profile_scores(data, profile.starting_state(data, 3),
                        bandwidth_from_scale(data.t, 0.5))
         assert pass_counts["sweeps"] == 0 and pass_counts["jacobian"] > 0
-        assert products == []
+        assert given and all(Y is None for Y in given)
 
     @pytest.mark.parametrize("part", MISMATCHES)
     def test_scores_check_the_state_against_the_data(self, part):
@@ -207,13 +209,34 @@ class TestCoarseSeed:
     """A K = 2, q = 1 fit from the parametric start seeds its burn-in with
     the curve solved at coarse observation nodes and interpolated along t."""
 
-    def test_burn_in_takes_two_sweeps(self, solve_log, pass_counts):
+    def test_burn_in_takes_one_sweep(self, solve_log, pass_counts):
         data = sine_dgp(2, 2000, seed=1)
         fit = fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5))
         assert fit.converged and fit.warnings == []
         # from the parametric start: 5 burn-in sweeps and 10 in all
-        assert solve_log[0]["kind"] == "curve" and solve_log[0]["passes"] == 2
-        assert pass_counts == {"sweeps": 7, "jacobian": 0}
+        assert solve_log[0]["kind"] == "curve" and solve_log[0]["passes"] == 1
+        assert pass_counts == {"sweeps": 6, "jacobian": 0}
+
+    @pytest.mark.parametrize("n", [2000, 5000])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_burn_in_takes_one_sweep_on_sine_draws(self, solve_log, n, seed):
+        # the six-point seed starts about 1e-11 off the curve, below the
+        # curve tolerance, so the first sweep is also the last
+        data = sine_dgp(2, n, seed)
+        fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5), max_iter=0)
+        assert solve_log[0]["kind"] == "curve" and solve_log[0]["passes"] == 1
+
+    @pytest.mark.parametrize("n", [2000, 5000])
+    def test_sparse_tails_take_no_more_burn_in_sweeps(self, solve_log, n):
+        # t ~ N(0, 1): the nodes thin out in the tails, and the seed spread
+        # by np.interp took 3 burn-in sweeps on both draws (2 and 1 now)
+        data = simulate(DGPSpec(
+            n_categories=2, n=n, seed=1, beta=[[1.0]],
+            smooth=({"kind": "sine", "amplitude": 1.0, "frequency": 1.0},),
+            x_laws=({"kind": "normal"},), t_laws=({"kind": "normal"},)))
+        fit = fit_semiparametric(data, bandwidth_from_scale(data.t, 0.5), max_iter=0)
+        assert fit.warnings == ["no convergence after 0 iterations"]
+        assert solve_log[0]["kind"] == "curve" and solve_log[0]["passes"] <= 3
 
     @pytest.mark.parametrize("draw, scale", [
         (lambda: sine_dgp(2, 2000, 1), 0.5),

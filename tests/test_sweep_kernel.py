@@ -301,6 +301,40 @@ class TestInterpolatedSeed:
         assert np.array_equal(profile._interpolated(nodes, values, x),
                               np.interp(x, nodes, values[0])[None, :])
 
+    @pytest.mark.parametrize("points", [4, 5, 6])
+    def test_a_polynomial_of_the_stencil_degree_is_reproduced(self, points):
+        nodes = np.sort(np.random.default_rng(2).uniform(-2.0, 2.0, 12))
+        coef = np.random.default_rng(3).normal(size=points)
+        values = np.polyval(coef, nodes)[None, :]
+        x = np.linspace(-2.5, 2.5, 41)
+        got = profile._interpolated(nodes, values, x, points)
+        np.testing.assert_allclose(got[0], np.polyval(coef, np.clip(x, nodes[0], nodes[-1])),
+                                   rtol=0, atol=1e-9)
+        assert np.array_equal(profile._interpolated(nodes, values, nodes, points), values)
+
+    def test_fewer_nodes_than_points_take_every_node(self):
+        values = (self.nodes ** 4 - self.nodes)[None, :]
+        x = np.linspace(-1.0, 2.0, 13)
+        np.testing.assert_allclose(profile._interpolated(self.nodes, values, x, 6)[0],
+                                   x ** 4 - x, rtol=0, atol=1e-12)
+
+    def test_near_coincident_nodes_take_the_parabola(self):
+        # nodes 1e-9 apart would magnify the values' rounding about 1e9
+        # times: the six-point stencils holding both fall back, the rest
+        # keep their order
+        nodes = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 1.0 + 1e-9, 2.0, 3.0, 4.0,
+                          5.0, 6.0, 7.0, 8.0, 9.0])
+        values = np.sin(nodes)[None, :]
+        x = np.linspace(-3.0, 9.0, 97)
+        got = profile._interpolated(nodes, values, x, 6)
+        parabola = profile._interpolated(nodes, values, x)
+        far = x > 5.0
+        assert np.array_equal(got[:, (x > -0.5) & (x < 3.0)],
+                              parabola[:, (x > -0.5) & (x < 3.0)])
+        assert not np.array_equal(got[:, far], parabola[:, far])
+        assert np.abs(got[0, far] - np.sin(x[far])).max() < \
+            np.abs(parabola[0, far] - np.sin(x[far])).max()
+
 
 class TestPointSolveStop:
     """The query-point solve stops once its last Newton step bounds the
@@ -604,8 +638,8 @@ class TestWorkCount:
             assert n * (n + 1) // 2 <= sum(computed) <= bound
 
     def test_score_term_is_formed_once_per_fit(self, monkeypatch, pass_counts):
-        # an uncached K = 2 fit computes one triangle per sweep and one for
-        # W y, before the first sweep
+        # an uncached K = 2 fit computes one triangle per sweep and none
+        # besides: the first sweep forms W y in its own block products
         data = sine_dgp(2, 120, 1)
         kern = bandwidth_from_scale(data.t, 0.5)
         n = data.n
@@ -627,7 +661,23 @@ class TestWorkCount:
         fit_semiparametric(data, kern)
         assert pass_counts["sweeps"] > 1 and pass_counts["jacobian"] == 0
         assert per_pass == [triangle] * pass_counts["sweeps"]
-        assert sum(computed) == (pass_counts["sweeps"] + 1) * triangle
+        assert sum(computed) == pass_counts["sweeps"] * triangle
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_first_sweep_forms_the_score_terms_of_a_separate_pass(
+            self, monkeypatch, use_workers, K, cached, workers):
+        use_workers(workers)
+        data = sine_dgp(K, 150, 1)
+        kern = bandwidth_from_scale(data.t, 0.5)
+        _ragged_cache(monkeypatch, kern, data.t, cached)
+        state = profile.starting_state(data, K)
+        solves = profile._Solves(data, kern, state.categories(), 1e-9)
+        assert solves.wcache.cached == cached and solves.Wy is None
+        solves.curve(state)
+        assert np.array_equal(solves.Wy,
+                              score_terms(data, state.categories(), solves.wcache))
 
 
 class TestChunkedPool:
